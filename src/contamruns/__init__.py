@@ -47,6 +47,6 @@ from .oracle import (
     longest_cdf_by_enumeration,
     window_probability_by_enumeration,
 )
-from .scan import ScanState, first_hitting, longest_run, streaming_update
+from .scan import first_hitting, longest_run
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -156,6 +156,11 @@ def run_hitting_experiment(cfg: ExperimentConfig, workers: int = 1) -> Experimen
                 return hit * scale
         return math.nan  # capped; excluded from the empirical law
 
+    # A chunk's scan temporaries sit just under glibc's initial 128 KB mmap
+    # threshold; freed, they are trimmed off the heap top and page-faulted
+    # back on the next chunk.  Releasing one full-size draw buffer raises
+    # glibc's dynamic mmap and trim thresholds past them (a no-op elsewhere).
+    np.empty(_CHUNK)
     scaled = np.asarray(_map_reps(one, cfg.s, workers))
     capped = int(np.isnan(scaled).sum())
     return ExperimentResult(

@@ -4,9 +4,12 @@ Two independent routes:
 
 * full enumeration over all 3^n sequences (n <= 14), exact when the
   trial distribution is given as Fractions;
-* an exact dynamic program over capped-gap suffix states, which reaches
-  much larger N (float mode) while staying exact for small N
-  (rational mode).
+* a finite Markov chain imbedding (Fu & Koutras, JASA 89 (1994)
+  1050-1058) on the minimal exact chain: states (L, a, b), the suffix
+  length and the gaps to the last failure of each type capped at L,
+  about m^3/3 of them.  One backward recursion serves both backends:
+  Python integers over the common denominator of (p, q1, q2), divided
+  once at the end (exact mode, Fraction inputs), or float64.
 
 Enumeration never consults the closed forms: probabilities come from
 counting sequences by their (#type-I, #type-II) failure counts.
@@ -14,11 +17,11 @@ counting sequences by their (#type-I, #type-II) failure counts.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import Outcome, TrialDistribution, ValidationError, check_window_length
 
@@ -157,106 +160,77 @@ def longest_cdf_by_enumeration(dist: TrialDistribution, N: int, m: int):
                Fraction(0) if dist.is_exact else 0.0)
 
 
-# --- dynamic program over capped suffix-gap states ---------------------
+# --- dynamic program over the minimal suffix chain --------------------
 
-def _dp_states_and_transitions(m: int):
-    """Reachable non-absorbed states and their 3-way transitions.
+def _dp_chain(m: int) -> np.ndarray:
+    """Successor table of the minimal chain for {mu(N) < m}, shape (3, S).
 
-    A state is (gapLastPlus, gapPrevPlus, gapLastMinus, gapPrevMinus),
-    gaps to the most recent / second most recent occurrence of each
-    failure type, capped at m (sentinel "none yet" behaves as an
-    occurrence at position 0, so its gap is the position, capped).
-    The suffix length is min(gapPrevPlus, gapPrevMinus); a state with
-    suffix length >= m is absorbed (a valid m-window has occurred).
+    A state is (L, a, b): the suffix length L and the gaps a, b to the
+    most recent type-I and type-II failures, each capped at L (a gap of
+    L means no failure of that type inside the suffix).  States are
+    numbered breadth-first from (0, 0, 0); every state with L >= m (a
+    valid m-window has ended) maps to the one absorbing index S.
     """
-    cap = m
-    absorbed = -1
-    index: dict[tuple[int, int, int, int], int] = {}
-    transitions: list[list[int]] = []
-    queue = [(0, 0, 0, 0)]
-    index[queue[0]] = 0
-    transitions.append([0, 0, 0])
-    head = 0
-    while head < len(queue):
-        glp, gpp, glm, gpm = queue[head]
-        for sym in range(3):
-            if sym == int(Outcome.SUCCESS):
-                nxt = (min(glp + 1, cap), min(gpp + 1, cap),
-                       min(glm + 1, cap), min(gpm + 1, cap))
-            elif sym == int(Outcome.FAIL_PLUS):
-                nxt = (0, min(glp + 1, cap), min(glm + 1, cap), min(gpm + 1, cap))
-            else:
-                nxt = (min(glp + 1, cap), min(gpp + 1, cap), 0, min(glm + 1, cap))
-            if min(nxt[1], nxt[3]) >= m:
-                transitions[head][sym] = absorbed
+    index = {(0, 0, 0): 0}
+    states = [(0, 0, 0)]
+    succ = []
+    for L, a, b in states:  # the list grows as new states are reached
+        L1, a1, b1 = L + 1, min(a + 1, L + 1), min(b + 1, L + 1)
+        row = []
+        # successors on a success, a type-I and a type-II failure (Outcome order)
+        for nxt in ((L1, a1, b1), (a1, 0, min(a1, b1)), (b1, min(a1, b1), 0)):
+            if nxt[0] >= m:
+                row.append(-1)
                 continue
             if nxt not in index:
-                index[nxt] = len(queue)
-                queue.append(nxt)
-                transitions.append([0, 0, 0])
-            transitions[head][sym] = index[nxt]
-        head += 1
-    return queue, transitions
+                index[nxt] = len(states)
+                states.append(nxt)
+            row.append(index[nxt])
+        succ.append(row)
+    table = np.array(succ, dtype=np.intp).T
+    table[table < 0] = len(states)
+    return table
 
 
 def dp_longest_cdf(dist: TrialDistribution, N: int, m: int, mode: str = "float",
                    budget: float = DEFAULT_BUDGET):
-    """Exact P(mu(N) < m) by forward DP; float or rational arithmetic."""
+    """Exact P(mu(N) < m) by backward recursion on the minimal chain.
+
+    f_k(s) = P(no valid m-window within k more trials from state s), so
+    f_{k+1}(s) = p f_k(succ0(s)) + q1 f_k(succ1(s)) + q2 f_k(succ2(s))
+    with f = 0 on the absorbing state, and the answer is f_N(0).  Exact
+    mode on a Fraction distribution runs in integers: the weights are
+    put over their common denominator d and the result is divided by
+    d^N once.  Otherwise the same loop runs in float64.
+    """
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
     check_window_length(m, 1)
-    if m == 1:
-        # every single symbol is a valid length-1 run
-        return Fraction(0) if (mode == "exact" and dist.is_exact) else 0.0
-    states, transitions = _dp_states_and_transitions(m)
-    work = 3 * len(states) * N
+    if mode not in ("float", "exact"):
+        raise ValidationError(f"mode must be 'float' or 'exact', got {mode!r}")
+    succ = _dp_chain(m)
+    S = succ.shape[1]
+    exact = mode == "exact" and dist.is_exact
+    if exact:
+        fracs = _weights(dist)
+        d = math.lcm(*(x.denominator for x in fracs))
+        weights = [int(x * d) for x in fracs]
+        # big-integer operands grow to about N log2(d) bits
+        work = 3 * S * N * max(1, N * d.bit_length() // 64)
+    else:
+        weights = dist.as_floats()
+        work = 3 * S * N
     if budget is not None and work > budget:
         raise SizeError(
-            f"DP needs ~{work:.2e} state-transitions (> budget {budget:.2e}); "
+            f"DP needs ~{work:.2e} word operations (> budget {budget:.2e}); "
             f"raise `budget` to force the run"
         )
-    if mode == "exact":
-        return _dp_exact(dist, N, transitions)
-    if mode != "float":
-        raise ValidationError(f"mode must be 'float' or 'exact', got {mode!r}")
-    return _dp_float(dist, N, transitions)
-
-
-def _dp_exact(dist: TrialDistribution, N: int, transitions):
-    p, q1, q2 = _weights(dist)
-    probs = (p, q1, q2)
-    one = Fraction(1) if dist.is_exact else 1.0
-    v = {0: one}
+    f = np.ones(S + 1, dtype=object if exact else np.float64)
+    f[S] = 0
+    (w0, w1, w2), (s0, s1, s2) = weights, succ
     for _ in range(N):
-        nv: dict[int, object] = {}
-        for s, mass in v.items():
-            for sym in range(3):
-                t = transitions[s][sym]
-                if t < 0:
-                    continue
-                nv[t] = nv.get(t, 0) + mass * probs[sym]
-        v = nv
-    return sum(v.values(), Fraction(0) if dist.is_exact else 0.0)
-
-
-def _dp_float(dist: TrialDistribution, N: int, transitions):
-    p, q1, q2 = dist.as_floats()
-    probs = (p, q1, q2)
-    S = len(transitions)
-    rows, cols, data = [], [], []
-    for s in range(S):
-        for sym in range(3):
-            t = transitions[s][sym]
-            if t >= 0:
-                rows.append(t)
-                cols.append(s)
-                data.append(probs[sym])
-    M = sp.csr_matrix((data, (rows, cols)), shape=(S, S))
-    v = np.zeros(S)
-    v[0] = 1.0
-    for _ in range(N):
-        v = M.dot(v)
-    return float(v.sum())
+        f[:S] = w0 * f[s0] + w1 * f[s1] + w2 * f[s2]
+    return Fraction(f[0], d ** N) if exact else float(f[0])
 
 
 def dp_hitting_tail(dist: TrialDistribution, m: int, N: int, mode: str = "float",

@@ -7,50 +7,17 @@ L(t) = t - max(prevPlus, prevMinus).  Its running maximum is the
 longest at most 1+1 contaminated run; the first t with L(t) >= m is
 the end index of the first qualifying m-window.
 
-Two equivalent engines are provided: a scalar fold over outcomes
-(ScanState / streaming_update) and a vectorized chunk scanner that
-consumes numpy uint8 arrays and carries the four-index state across
-chunk borders, so arbitrarily long pull-based sources never need to be
-materialized.
+The scan engine is a vectorized chunk scanner that consumes numpy
+uint8 arrays and carries the four-index state across chunk borders, so
+arbitrarily long pull-based sources never need to be materialized.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .model import Outcome, ValidationError, check_window_length
-
-
-@dataclass(frozen=True)
-class ScanState:
-    """Four-occurrence bookkeeping; positions are 1-based, 0 = none yet."""
-
-    last_plus: int = 0
-    prev_plus: int = 0
-    last_minus: int = 0
-    prev_minus: int = 0
-    position: int = 0
-    best: int = 0
-
-    @property
-    def suffix_length(self) -> int:
-        """Length of the longest valid run ending at the current position."""
-        return self.position - max(self.prev_plus, self.prev_minus)
-
-
-def streaming_update(state: ScanState, outcome) -> ScanState:
-    pos = state.position + 1
-    if outcome == Outcome.FAIL_PLUS:
-        state = replace(state, prev_plus=state.last_plus, last_plus=pos, position=pos)
-    elif outcome == Outcome.FAIL_MINUS:
-        state = replace(state, prev_minus=state.last_minus, last_minus=pos, position=pos)
-    else:
-        state = replace(state, position=pos)
-    if state.suffix_length > state.best:
-        state = replace(state, best=state.suffix_length)
-    return state
 
 
 class ChunkScanner:
@@ -159,13 +126,3 @@ def first_hitting_chunked(chunks: Iterable[np.ndarray], m: int) -> Optional[int]
         if hit is not None:
             return hit
     return None
-
-
-def fold_longest_run(seq) -> int:
-    """Reference fold over streaming_update (slow path, used by tests)."""
-    state = ScanState()
-    for x in seq:
-        state = streaming_update(state, x)
-    if state.position == 0:
-        raise ValidationError("sequence must be non-empty")
-    return state.best

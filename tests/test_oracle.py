@@ -6,6 +6,7 @@ import pytest
 from contamruns.model import TrialDistribution, ValidationError, is_window_valid
 from contamruns.oracle import (
     SizeError,
+    _dp_chain,
     dp_hitting_tail,
     dp_longest_cdf,
     enumerate_conditional,
@@ -96,9 +97,10 @@ def test_dp_boundary_cases():
 
 
 def test_dp_float_agrees_with_exact():
-    exact = dp_longest_cdf(SKEWED, 50, 6, mode="exact")
-    assert dp_longest_cdf(SKEWED, 50, 6, mode="float") == pytest.approx(
-        float(exact), rel=1e-12)
+    for d, N, m in ((SKEWED, 50, 6), (THIRDS, 2000, 12)):
+        exact = dp_longest_cdf(d, N, m, mode="exact")
+        assert dp_longest_cdf(d, N, m, mode="float") == pytest.approx(
+            float(exact), rel=1e-12)
 
 
 def test_dp_cdf_monotone_in_m_and_n():
@@ -121,6 +123,17 @@ def test_dp_budget_refusal():
     # raising the budget un-refuses
     v = dp_longest_cdf(THIRDS, 1000, 12, mode="float", budget=10 ** 8)
     assert 0 < v < 1
+    # exact operands grow to ~N log2(d) bits, and the budget charges for them
+    with pytest.raises(SizeError):
+        dp_longest_cdf(THIRDS, 10 ** 5, 10, mode="exact")
+    assert 0 < dp_longest_cdf(THIRDS, 10 ** 5, 10, mode="float") < 1
+
+
+def test_dp_chain_is_minimal_size():
+    # (L+1)^2 gap pairs for each L < m, less the L pairs a = b < L, which
+    # would put both failure types at one position
+    for m in range(2, 26):
+        assert _dp_chain(m).shape[1] == m * (m + 1) * (2 * m + 1) // 6 - m * (m - 1) // 2
 
 
 def test_dp_rejects_bad_mode():

@@ -6,13 +6,10 @@ from hypothesis import given, settings, strategies as st
 from contamruns.model import ValidationError, is_window_valid
 from contamruns.scan import (
     ChunkScanner,
-    ScanState,
     first_hitting,
     first_hitting_chunked,
-    fold_longest_run,
     longest_run,
     longest_run_chunked,
-    streaming_update,
 )
 
 sequences = st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=24)
@@ -48,6 +45,11 @@ def test_suffix_trace_examples():
     scanner = ChunkScanner()
     trace = scanner.suffix_lengths(np.array([1, 1], dtype=np.uint8))
     assert trace.tolist() == [1, 1]
+    # after the second type-I failure only positions 3..5 qualify
+    scanner = ChunkScanner()
+    trace = scanner.suffix_lengths(np.array([0, 1, 0, 2, 1], dtype=np.uint8))
+    assert trace.tolist() == [1, 2, 3, 4, 3]
+    assert scanner.best == 4
 
 
 def test_first_hitting_examples():
@@ -62,17 +64,15 @@ def test_empty_sequences_rejected():
         longest_run([])
     with pytest.raises(ValidationError):
         longest_run_chunked([np.zeros(0, dtype=np.uint8)])
-    with pytest.raises(ValidationError):
-        fold_longest_run([])
 
 
 def test_streaming_update_tracks_best():
-    state = ScanState()
+    scanner = ChunkScanner()
     for x in [0, 1, 0, 2, 1]:
-        state = streaming_update(state, x)
+        trace = scanner.suffix_lengths(np.array([x], dtype=np.uint8))
     # after the second type-I failure only positions 3..5 qualify
-    assert state.suffix_length == 3
-    assert state.best == 4
+    assert trace.tolist() == [3]
+    assert scanner.best == 4
 
 
 # --- property tests against brute force ------------------------------------
@@ -80,11 +80,6 @@ def test_streaming_update_tracks_best():
 @given(sequences)
 def test_longest_run_matches_brute_force(seq):
     assert longest_run(seq) == brute_longest(seq)
-
-
-@given(sequences)
-def test_fold_matches_vectorized(seq):
-    assert fold_longest_run(seq) == longest_run(seq)
 
 
 @given(sequences, st.integers(min_value=1, max_value=8))
