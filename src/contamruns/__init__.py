@@ -10,6 +10,7 @@ from .analytic import (
     alpha_correction,
     cfk_bounds,
     cfk_condition_check,
+    conditional_discrepancy,
     conditional_survival,
     exponent_l,
     h_function,
@@ -22,6 +23,7 @@ from .analytic import (
 from .model import (
     DerivedConstants,
     Outcome,
+    SizeError,
     TrialDistribution,
     ValidationError,
     derive_constants,
@@ -38,7 +40,6 @@ from .montecarlo import (
     sup_distance_lattice,
 )
 from .oracle import (
-    SizeError,
     dp_hitting_tail,
     dp_longest_cdf,
     enumerate_conditional,

@@ -7,7 +7,8 @@ parameters.  Conventions:
   conversion point is :func:`log_recip_p` (avoids base drift).
 * Exact Fraction inputs with integer window lengths propagate exactly
   through the polynomial formulas (window probability, the joint
-  survival sums, alpha).
+  survival sums, alpha).  Their cost grows with the size of p^m, so
+  exact evaluation is refused past :data:`EXACT_MAX_BITS`.
 """
 from __future__ import annotations
 
@@ -16,11 +17,31 @@ from dataclasses import dataclass, field
 
 from .model import (
     DerivedConstants,
+    SizeError,
     TrialDistribution,
     ValidationError,
     check_window_length,
     derive_constants,
 )
+
+# Cap on m * bit_length(d), the size in bits of the exact power p^m, where d
+# is the common denominator of (p, q1, q2).  Fraction arithmetic on such
+# operands is dominated by big-integer gcds, superlinear in their size; at
+# the cap the slowest accepted query, `analytic bounds`, takes under 1 s.
+EXACT_MAX_BITS = 100_000
+
+
+def _check_exact_size(dist: TrialDistribution, m: int) -> None:
+    """Refuse exact closed forms whose power p^m would pass EXACT_MAX_BITS."""
+    if not dist.is_exact:
+        return
+    d = math.lcm(dist.p.denominator, dist.q1.denominator, dist.q2.denominator)
+    bits = m * d.bit_length()
+    if bits > EXACT_MAX_BITS:
+        raise SizeError(
+            f"exact closed forms at m={m} need p^m with ~{bits} bits "
+            f"(> cap {EXACT_MAX_BITS}); pass float probabilities for a float evaluation"
+        )
 
 
 def log_recip_p(x: float, dist: TrialDistribution) -> float:
@@ -38,6 +59,7 @@ def window_probability(dist: TrialDistribution, m):
     """
     if isinstance(m, int):
         check_window_length(m, 1)
+        _check_exact_size(dist, m)
         p, q1, q2 = dist.p, dist.q1, dist.q2
     else:
         if m < 1:
@@ -74,9 +96,11 @@ def joint_survival_casewise(dist: TrialDistribution, m: int):
     copies with the two failure types interchanged.  The impossible
     cases (pure first window, contamination at position 1 of a
     one-type window) contribute zero.  O(m^2) terms; deliberately not
-    simplified so it can cross-check the aggregated closed form.
+    simplified so it can cross-check :func:`joint_survival_aggregated`,
+    which is the evaluation route for m >= 4.  This sum serves m = 2, 3.
     """
     check_window_length(m, 2)
+    _check_exact_size(dist, m)
     p = dist.p
     total = 0
     for a, b in ((dist.q1, dist.q2), (dist.q2, dist.q1)):
@@ -103,11 +127,13 @@ def joint_survival_casewise(dist: TrialDistribution, m: int):
 
 def joint_survival_aggregated(dist: TrialDistribution, m: int):
     """Same quantity as :func:`joint_survival_casewise`, via the
-    simplified aggregate expressions (a check on the long algebra).
+    simplified aggregate expressions: O(1) terms, and with exact inputs
+    the same Fraction as the casewise sum.
 
     Requires m >= 4 so every aggregated index range is nonempty.
     """
     check_window_length(m, 4)
+    _check_exact_size(dist, m)
     p, q1, q2 = dist.p, dist.q1, dist.q2
     s2 = q1 * q1 + q2 * q2
     one_type = p ** (m - 1) * (
@@ -128,9 +154,25 @@ def joint_survival_aggregated(dist: TrialDistribution, m: int):
 
 
 def conditional_survival(dist: TrialDistribution, m: int):
-    """P(Abar_2 ... Abar_m | A1) = joint survival / window probability."""
+    """P(Abar_2 ... Abar_m | A1) = joint survival / window probability.
+
+    The joint survival comes from the aggregated closed form for m >= 4
+    and from the casewise sum for m = 2, 3, where the aggregated index
+    ranges are empty; the casewise sum is the O(m^2) cross-check.
+    """
     check_window_length(m, 2)
-    return joint_survival_casewise(dist, m) / window_probability(dist, m)
+    joint = joint_survival_aggregated if m >= 4 else joint_survival_casewise
+    return joint(dist, m) / window_probability(dist, m)
+
+
+def conditional_discrepancy(dist: TrialDistribution, m: int) -> float:
+    """|P(Abar_2 ... Abar_m | A1) - alpha|, the eps of the sandwich lemma.
+
+    The difference is taken before rounding: with exact inputs the two
+    terms agree to about p^m, which a difference of doubles loses.  The
+    result is 0.0 only when it underflows.
+    """
+    return float(abs(conditional_survival(dist, m) - alpha_correction(dist, m).alpha))
 
 
 @dataclass(frozen=True)
@@ -155,8 +197,6 @@ def cfk_condition_check(dist: TrialDistribution, m: int, eps: float) -> CfkRepor
         )
     p_a1 = float(window_probability(dist, m))
     sii_sum = m * p_a1
-    alpha = float(alpha_correction(dist, m).alpha)
-    discrepancy = abs(float(conditional_survival(dist, m)) - alpha)
     return CfkReport(
         m=m,
         eps=eps,
@@ -164,7 +204,7 @@ def cfk_condition_check(dist: TrialDistribution, m: int, eps: float) -> CfkRepor
         siii_holds=p_a1 < eps / m,
         sii_sum=sii_sum,
         sii_holds=sii_sum < eps,
-        si_discrepancy=discrepancy,
+        si_discrepancy=conditional_discrepancy(dist, m),
     )
 
 

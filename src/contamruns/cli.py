@@ -26,7 +26,7 @@ from .files import (
     write_manifest,
     write_reference_csv,
 )
-from .model import TrialDistribution, ValidationError
+from .model import SizeError, TrialDistribution, ValidationError
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -77,6 +77,15 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
+def _exact_str(v) -> str | None:
+    """str(v), or None when a part of v is past the interpreter's
+    int-to-str digit limit (4300 digits by default)."""
+    try:
+        return str(v)
+    except ValueError:
+        return None
+
+
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -95,9 +104,10 @@ def cmd_analytic(args) -> int:
     elif q == "pA1":
         _require(args, "m")
         v = an.window_probability(_dist(args), args.m)
-        payload = {"pA1": float(v)}
-        exact = f" = {v}" if isinstance(v, Fraction) else ""
-        _emit(args, payload, f"P(A1){exact} ~ {float(v):.9g}")
+        text = _exact_str(v)
+        _emit(args, {"pA1": float(v)},
+              f"P(A1) = {text} ~ {float(v):.9g}" if text is not None
+              else f"P(A1) ~ {float(v):.9g} (exact value too long to print)")
     elif q == "alpha":
         _require(args, "m")
         b = an.alpha_correction(_dist(args), args.m)
@@ -138,19 +148,16 @@ def cmd_analytic(args) -> int:
         dist = _dist(args)
         alpha = float(an.alpha_correction(dist, args.m).alpha)
         pa1 = float(an.window_probability(dist, args.m))
-        if args.eps is not None:
-            eps = args.eps
-        else:
-            # measured discrepancy when the closed forms are usable, else 10 p^m
-            try:
-                eps = abs(float(an.conditional_survival(dist, args.m)) - alpha)
-            except (OverflowError, ValidationError):
-                eps = 10.0 * float(dist.p) ** args.m
+        eps = args.eps if args.eps is not None else an.conditional_discrepancy(dist, args.m)
+        # the measured eps is 0.0 only when it underflows the double range
+        degenerate = args.eps is None and eps == 0.0
         lo, hi = an.cfk_bounds(alpha, eps, args.N, args.m, pa1)
-        payload = {"lower": lo, "upper": hi, "alpha": alpha, "eps": eps, "pA1": pa1}
+        payload = {"lower": lo, "upper": hi, "alpha": alpha, "eps": eps, "pA1": pa1,
+                   "degenerate": degenerate}
         _emit(args, payload,
               f"{lo!r} < P(no valid window among {args.N}) < {hi!r} "
-              f"(alpha={alpha:.9g}, eps={eps:.3g})")
+              f"(alpha={alpha:.9g}, eps={eps:.3g})"
+              + (" (degenerate: the measured eps underflowed to 0)" if degenerate else ""))
     else:
         raise UsageError(f"unknown analytic quantity {q!r}")
     return 0
@@ -160,11 +167,15 @@ def cmd_analytic(args) -> int:
 
 def _print_prob(args, label: str, v) -> None:
     payload = {"value": float(v)}
-    if isinstance(v, Fraction):
-        payload["exact"] = f"{v.numerator}/{v.denominator}"
-        _emit(args, payload, f"{label} = {v} ~ {float(v):.12g}")
-    else:
+    if not isinstance(v, Fraction):
         _emit(args, payload, f"{label} = {float(v)!r}")
+        return
+    text = _exact_str(v)
+    if text is None:
+        _emit(args, payload, f"{label} ~ {float(v):.12g} (exact value too long to print)")
+        return
+    payload["exact"] = f"{v.numerator}/{v.denominator}"
+    _emit(args, payload, f"{label} = {text} ~ {float(v):.12g}")
 
 
 def cmd_oracle(args) -> int:
@@ -292,35 +303,31 @@ def cmd_compare(args) -> int:
     if ref_name is None:
         ref_name = "exp1" if meta.get("mode") == "hitting" else "accompanying"
 
-    lattice = None
+    support = [float(x) for x in empirical.support]
     if ref_name == "exp1":
-        ref = an.theorem1_limit_cdf
+        distance = mc.sup_distance(empirical, an.theorem1_limit_cdf)
+        ref_column = [an.theorem1_limit_cdf(x) for x in support]
     elif ref_name == "accompanying":
         p = parse_prob(args.p if args.p is not None else meta["p"])
         q1 = parse_prob(args.q1 if args.q1 is not None else meta["q1"])
         q2 = parse_prob(args.q2 if args.q2 is not None else meta["q2"])
         N = args.N if args.N is not None else int(meta["N"])
         dist = TrialDistribution(p, q1, q2)
-        lattice = lambda k: an.accompanying_cdf(dist, N, k)
-        ref = lambda x: an.accompanying_cdf(dist, N, math.floor(x) + 1)
+        distance = mc.sup_distance_lattice(empirical, lambda k: an.accompanying_cdf(dist, N, k))
+        ref_column = [an.accompanying_cdf(dist, N, math.floor(x) + 1) for x in support]
     else:
         other, _ = read_empirical_csv(ref_name)
-        ref = other.cdf
-        lattice = "step"
-    if lattice == "step":
         distance = mc.sup_distance_step(empirical, other)
-    elif lattice is not None:
-        distance = mc.sup_distance_lattice(empirical, lattice)
+        ref_column = other.cdf(empirical.support).tolist()
+    rows = zip(support, empirical.cumulative().tolist(), ref_column)
+    if args.json:
+        print(json.dumps({"sup_distance": distance, "reference": ref_name,
+                          "table": [{"value": v, "ecdf": e, "reference_cdf": r}
+                                    for v, e, r in rows]}, sort_keys=True))
     else:
-        distance = mc.sup_distance(empirical, ref)
-    cum = empirical.cumulative()
-    rows = [(float(x), float(c), float(ref(float(x))))
-            for x, c in zip(empirical.support, cum)]
-    payload = {"sup_distance": distance, "reference": ref_name,
-               "table": [{"value": v, "ecdf": e, "reference_cdf": r} for v, e, r in rows]}
-    lines = [f"sup-distance vs {ref_name}: {distance:.6f}", "value,ecdf,reference_cdf"]
-    lines += [f"{v!r},{e!r},{r!r}" for v, e, r in rows]
-    _emit(args, payload, "\n".join(lines))
+        print("\n".join([f"sup-distance vs {ref_name}: {distance:.6f}",
+                         "value,ecdf,reference_cdf",
+                         *(f"{v!r},{e!r},{r!r}" for v, e, r in rows)]))
     return 0
 
 
@@ -391,7 +398,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except orc.SizeError as exc:
+    except SizeError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except FileFormatError as exc:

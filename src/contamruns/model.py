@@ -25,6 +25,11 @@ class ValidationError(ValueError):
     """Raised when a domain object violates one of its invariants."""
 
 
+class SizeError(ValueError):
+    """Raised when a query exceeds an enumeration size, the DP work budget
+    or the exact-arithmetic size cap of the closed forms."""
+
+
 def _is_exact(x) -> bool:
     return isinstance(x, Rational)
 

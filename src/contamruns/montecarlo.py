@@ -95,10 +95,17 @@ class EmpiricalDistribution:
         support, counts = np.unique(values, return_counts=True)
         return cls(support=support, weights=counts.astype(np.int64), total=int(len(values)))
 
-    def cdf(self, x: float) -> float:
-        """Empirical P(value <= x)."""
-        idx = np.searchsorted(self.support, x, side="right")
-        return float(self.weights[:idx].sum()) / self.total
+    def cdf(self, x):
+        """Empirical P(value <= x), for a scalar (a float) or an array of points.
+
+        One lookup in the cumulative integer counts; the division by the
+        total comes last, so each value is the same double as count / total.
+        """
+        counts = np.concatenate(([0], np.cumsum(self.weights)))
+        below = counts[np.searchsorted(self.support, x, side="right")]
+        if np.ndim(below) == 0:
+            return int(below) / self.total
+        return below / self.total
 
     def cumulative(self) -> np.ndarray:
         return np.cumsum(self.weights) / self.total
@@ -197,7 +204,7 @@ def sup_distance_step(a: EmpiricalDistribution, b: EmpiricalDistribution) -> flo
     supports; identical distributions give exactly 0.
     """
     grid = np.union1d(a.support, b.support)
-    return float(max(abs(a.cdf(float(x)) - b.cdf(float(x))) for x in grid))
+    return float(np.max(np.abs(a.cdf(grid) - b.cdf(grid))))
 
 
 def sup_distance_lattice(empirical: EmpiricalDistribution,
@@ -210,10 +217,7 @@ def sup_distance_lattice(empirical: EmpiricalDistribution,
     """
     if empirical.total == 0:
         raise ValidationError("empirical distribution must be non-empty")
-    lo = int(empirical.support.min())
-    hi = int(empirical.support.max()) + 1
-    best = 0.0
-    for k in range(lo, hi + 1):
-        emp_below = empirical.cdf(k - 1)  # P(value <= k-1) = P(value < k)
-        best = max(best, abs(emp_below - reference_cdf_below(k)))
-    return best
+    ks = np.arange(int(empirical.support.min()), int(empirical.support.max()) + 2)
+    emp_below = empirical.cdf(ks - 1)  # P(value <= k-1) = P(value < k)
+    ref_below = np.array([reference_cdf_below(int(k)) for k in ks], dtype=np.float64)
+    return float(np.max(np.abs(emp_below - ref_below)))

@@ -23,14 +23,10 @@ from typing import Callable
 
 import numpy as np
 
-from .model import Outcome, TrialDistribution, ValidationError, check_window_length
+from .model import Outcome, SizeError, TrialDistribution, ValidationError, check_window_length
 
 ENUM_MAX_N = 14
 DEFAULT_BUDGET = 10 ** 9
-
-
-class SizeError(ValueError):
-    """Raised when a query exceeds the enumeration size or DP work budget."""
 
 
 def _weights(dist: TrialDistribution):

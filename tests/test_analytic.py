@@ -22,7 +22,7 @@ from contamruns.analytic import (
     theorem1_limit_cdf,
     window_probability,
 )
-from contamruns.model import TrialDistribution, ValidationError
+from contamruns.model import SizeError, TrialDistribution, ValidationError
 from contamruns.oracle import (
     enumerate_conditional,
     joint_survival_by_enumeration,
@@ -131,6 +131,26 @@ def test_joint_survival_scaling_approaches_alpha_polynomial():
 def test_conditional_survival_equals_enumeration():
     for d in TRIPLES:
         assert conditional_survival(d, 4) == enumerate_conditional(d, 4)
+
+
+def test_conditional_survival_equals_casewise_quotient():
+    # the aggregated route (m >= 4) gives exactly the casewise Fraction
+    triples = TRIPLES + (TrialDistribution(Fraction(7, 10), Fraction(1, 5), Fraction(1, 10)),)
+    for d in triples:
+        for m in range(2, 41):
+            assert conditional_survival(d, m) == \
+                joint_survival_casewise(d, m) / window_probability(d, m)
+
+
+def test_exact_closed_forms_refuse_past_the_bit_cap():
+    # p^m with m * bit_length(3) = 2m bits: m = 50000 sits at the cap
+    assert window_probability(THIRDS, 50_000) > 0
+    for fn in (window_probability, conditional_survival, joint_survival_aggregated):
+        with pytest.raises(SizeError):
+            fn(THIRDS, 50_001)
+    # float inputs are not capped
+    floats = TrialDistribution(*THIRDS.as_floats())
+    assert window_probability(floats, 10 ** 6) == 0.0
 
 
 def test_conditional_discrepancy_shrinks():

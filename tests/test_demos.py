@@ -1,0 +1,19 @@
+"""The narrative demos run to completion from a clean directory."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name,expected", [("01_closed_forms.py", "13/27"),
+                                           ("03_experiments.py", "identical output: True")])
+def test_demo_runs(name, expected, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert expected in proc.stdout

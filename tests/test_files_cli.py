@@ -219,3 +219,56 @@ def test_compare_against_accompanying_uses_metadata(capsys, tmp_path):
     payload = json.loads(out)
     assert 0 <= payload["sup_distance"] <= 1
     assert all({"value", "ecdf", "reference_cdf"} <= set(row) for row in payload["table"])
+
+
+# --- exact values past the digit limit, size cap, measured eps ------------------
+
+THIRDS_ARGS = ("--p", "1/3", "--q1", "1/3", "--q2", "1/3")
+
+
+def test_oracle_exact_past_digit_limit_prints_float(capsys):
+    # the exact denominators have more digits than Python converts to str
+    code, out, _ = run_cli(capsys, "--json", "oracle", "longest-cdf", *THIRDS_ARGS,
+                           "--N", "10000", "--m", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert "exact" not in payload and payload["value"] == 0.0  # true value ~4e-1513
+    code, out, _ = run_cli(capsys, "--json", "oracle", "longest-cdf", "--p", "0.334",
+                           "--q1", "0.333", "--q2", "0.333", "--N", "1500", "--m", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert "exact" not in payload and 0 < payload["value"] < 1
+    code, out, _ = run_cli(capsys, "oracle", "longest-cdf", *THIRDS_ARGS,
+                           "--N", "10000", "--m", "3")
+    assert code == 0 and "too long to print" in out
+
+
+def test_analytic_pa1_past_digit_limit(capsys):
+    code, out, _ = run_cli(capsys, "--json", "analytic", "pA1", *THIRDS_ARGS, "--m", "20000")
+    assert code == 0 and json.loads(out)["pA1"] == 0.0
+    code, out, _ = run_cli(capsys, "analytic", "pA1", *THIRDS_ARGS, "--m", "20000")
+    assert code == 0 and "too long to print" in out
+
+
+def test_huge_window_is_refused(capsys):
+    for query in ("pA1", "bounds"):
+        code, _, err = run_cli(capsys, "analytic", query, *THIRDS_ARGS,
+                               "--m", "1000000", "--N", "1000")
+        assert code == EXIT_BUDGET and "cap" in err
+
+
+def test_bounds_default_eps_is_the_exact_discrepancy(capsys):
+    def bounds(m):
+        code, out, _ = run_cli(capsys, "--json", "analytic", "bounds", *THIRDS_ARGS,
+                               "--m", str(m), "--N", "1000000")
+        assert code == 0
+        return json.loads(out)
+
+    assert bounds(40)["eps"] == pytest.approx(3.6107703098908e-19, rel=1e-9)
+    far = bounds(300)
+    assert far["eps"] > 0 and not far["degenerate"]
+    underflow = bounds(1000)  # |survival - alpha| ~ 3^-1000 < 5e-324
+    assert underflow["eps"] == 0.0 and underflow["degenerate"]
+    _, human, _ = run_cli(capsys, "analytic", "bounds", *THIRDS_ARGS,
+                          "--m", "1000", "--N", "1000000")
+    assert "degenerate" in human

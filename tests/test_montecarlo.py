@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contamruns.analytic import m_of_n, theorem1_limit_cdf
 from contamruns.model import TrialDistribution, ValidationError
@@ -160,3 +161,47 @@ def test_sup_distance_rejects_empty():
                                   total=0)
     with pytest.raises(ValidationError):
         sup_distance(empty, theorem1_limit_cdf)
+
+
+# --- array forms against the per-point definitions ---------------------------
+
+def _cdf_by_sum(emp, x):
+    """Empirical P(value <= x) as the sum of the weights up to x."""
+    idx = np.searchsorted(emp.support, x, side="right")
+    return float(emp.weights[:idx].sum()) / emp.total
+
+
+def _step_by_points(a, b):
+    grid = np.union1d(a.support, b.support)
+    return float(max(abs(_cdf_by_sum(a, float(x)) - _cdf_by_sum(b, float(x))) for x in grid))
+
+
+def _lattice_by_points(emp, below):
+    best = 0.0
+    for k in range(int(emp.support.min()), int(emp.support.max()) + 2):
+        best = max(best, abs(_cdf_by_sum(emp, k - 1) - below(k)))
+    return best
+
+
+integer_samples = st.lists(st.integers(-8, 8), min_size=1, max_size=80)
+float_samples = st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(integer_samples, float_samples), st.one_of(integer_samples, float_samples),
+       st.lists(st.floats(-10.0, 10.0, allow_nan=False), max_size=20))
+def test_array_forms_equal_per_point_definitions(xs, ys, points):
+    a = EmpiricalDistribution.from_samples(xs)
+    b = EmpiricalDistribution.from_samples(ys)
+    grid = np.union1d(np.union1d(a.support, b.support), points)
+    array_values = a.cdf(grid)
+    for x, v in zip(grid, array_values):
+        scalar = a.cdf(float(x))
+        assert isinstance(scalar, float)
+        assert scalar == v == _cdf_by_sum(a, float(x))
+    assert sup_distance_step(a, b) == _step_by_points(a, b)
+    assert sup_distance_step(a, a) == 0.0
+    if np.issubdtype(a.support.dtype, np.integer):
+        below = lambda k: _cdf_by_sum(b, k - 1)
+        assert sup_distance_lattice(a, below) == _lattice_by_points(a, below)
+        assert sup_distance_lattice(a, lambda k: _cdf_by_sum(a, k - 1)) == 0.0
