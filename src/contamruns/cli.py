@@ -63,10 +63,14 @@ def parse_prob(text: str) -> Fraction:
         raise ValidationError(f"cannot parse probability {text!r}") from None
 
 
-def _dist(args) -> TrialDistribution:
-    for name in ("p", "q1", "q2"):
+def _require(args, *names):
+    for name in names:
         if getattr(args, name, None) is None:
             raise UsageError(f"--{name} is required for this query")
+
+
+def _dist(args) -> TrialDistribution:
+    _require(args, "p", "q1", "q2")
     return TrialDistribution(parse_prob(args.p), parse_prob(args.q1), parse_prob(args.q2))
 
 
@@ -84,12 +88,6 @@ def _exact_str(v) -> str | None:
         return str(v)
     except ValueError:
         return None
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"--{name} is required for this query")
 
 
 # --- analytic ----------------------------------------------------------
@@ -229,57 +227,59 @@ def _experiment_config(args) -> tuple[mc.ExperimentConfig, float]:
     return cfg, (scale if scale is not None else 1.0)
 
 
-def _reference_for(cfg: mc.ExperimentConfig):
-    """(grid -> cdf value, description) for the experiment's theoretical law."""
-    if cfg.mode == "hitting":
-        return an.theorem1_limit_cdf, "exp1"
-    return (lambda x: an.accompanying_cdf(cfg.dist, cfg.N, math.floor(x) + 1)), "accompanying"
+def _law_for(mode) -> str:
+    """The theoretical law of an experiment mode: Exp(1) for the scaled
+    hitting time, the accompanying CDF for the longest run."""
+    return "exp1" if mode == "hitting" else "accompanying"
 
 
-def _sup_distance_for(cfg, empirical):
-    ref, _ = _reference_for(cfg)
-    if cfg.mode == "longest":
-        return mc.sup_distance_lattice(
-            empirical, lambda k: an.accompanying_cdf(cfg.dist, cfg.N, k))
-    return mc.sup_distance(empirical, ref)
+def _against(empirical, ref_name: str, dist=None, N=None):
+    """(sup-distance, reference CDF at each support point) against a named law.
+
+    ref_name is exp1, accompanying (which needs dist and N) or the path
+    of another empirical CSV.
+    """
+    if ref_name == "exp1":
+        column = [an.theorem1_limit_cdf(float(x)) for x in empirical.support]
+        return mc.sup_distance(empirical, an.theorem1_limit_cdf), column
+    if ref_name == "accompanying":
+        below = lambda k: an.accompanying_cdf(dist, N, k)  # P(mu(N) - [m(N)] < k)
+        column = [below(math.floor(x) + 1) for x in empirical.support]
+        return mc.sup_distance_lattice(empirical, below), column
+    other, _ = read_empirical_csv(ref_name)
+    return mc.sup_distance_step(empirical, other), other.cdf(empirical.support).tolist()
 
 
 def cmd_experiment(args) -> int:
     cfg, scale = _experiment_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    run = mc.run_longest_experiment if cfg.mode == "longest" else mc.run_hitting_experiment
     t0 = time.perf_counter()
-    if cfg.mode == "longest":
-        result = mc.run_longest_experiment(cfg, workers=args.threads)
-    else:
-        result = mc.run_hitting_experiment(cfg, workers=args.threads)
+    result = run(cfg, workers=args.threads)
     wall = time.perf_counter() - t0
 
     prefix = f"{cfg.mode}_p{float(cfg.dist.p):g}_N{cfg.N}_s{cfg.s}"
-    meta = {
-        "mode": cfg.mode, "p": args.p, "q1": args.q1, "q2": args.q2,
-        "N": cfg.N, "s": cfg.s, "m": cfg.m if cfg.m is not None else "",
-        "seed": cfg.seed, "scale": scale, "rng_scheme": mc.RNG_SCHEME_ID,
-        "tool_version": __version__,
-    }
+    config = {"mode": cfg.mode, "p": args.p, "q1": args.q1, "q2": args.q2,
+              "N": cfg.N, "s": cfg.s, "m": cfg.m, "seed": cfg.seed, "scale": scale}
+    meta = {**config, "m": cfg.m if cfg.m is not None else "",
+            "rng_scheme": mc.RNG_SCHEME_ID, "tool_version": __version__}
     emp_path = out_dir / f"{prefix}_empirical.csv"
     ref_path = out_dir / f"{prefix}_reference.csv"
     rep_path = out_dir / f"{prefix}_report.json"
     man_path = out_dir / f"{prefix}_manifest.json"
 
     write_empirical_csv(emp_path, result.empirical, meta)
-    ref_fn, ref_name = _reference_for(cfg)
+    ref_name = _law_for(cfg.mode)
+    distance, column = _against(result.empirical, ref_name, cfg.dist, cfg.N)
     grid = [int(x) if cfg.mode == "longest" else float(x) for x in result.empirical.support]
-    write_reference_csv(ref_path, grid, [ref_fn(x) for x in grid],
-                        {**meta, "reference": ref_name})
-    distance = _sup_distance_for(cfg, result.empirical)
+    write_reference_csv(ref_path, grid, column, {**meta, "reference": ref_name})
     report = {"sup_distance": distance, "reference": ref_name,
               "samples": result.empirical.total, "excluded": result.excluded}
     rep_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     manifest = RunManifest(
-        config={"mode": cfg.mode, "p": args.p, "q1": args.q1, "q2": args.q2,
-                "N": cfg.N, "s": cfg.s, "m": cfg.m, "seed": cfg.seed, "scale": scale},
+        config=config,
         tool_version=__version__,
         rng_scheme=mc.RNG_SCHEME_ID,
         wall_time_s=wall,
@@ -299,27 +299,20 @@ def cmd_experiment(args) -> int:
 
 def cmd_compare(args) -> int:
     empirical, meta = read_empirical_csv(args.empirical)
-    ref_name = args.ref
-    if ref_name is None:
-        ref_name = "exp1" if meta.get("mode") == "hitting" else "accompanying"
-
-    support = [float(x) for x in empirical.support]
-    if ref_name == "exp1":
-        distance = mc.sup_distance(empirical, an.theorem1_limit_cdf)
-        ref_column = [an.theorem1_limit_cdf(x) for x in support]
-    elif ref_name == "accompanying":
-        p = parse_prob(args.p if args.p is not None else meta["p"])
-        q1 = parse_prob(args.q1 if args.q1 is not None else meta["q1"])
-        q2 = parse_prob(args.q2 if args.q2 is not None else meta["q2"])
-        N = args.N if args.N is not None else int(meta["N"])
-        dist = TrialDistribution(p, q1, q2)
-        distance = mc.sup_distance_lattice(empirical, lambda k: an.accompanying_cdf(dist, N, k))
-        ref_column = [an.accompanying_cdf(dist, N, math.floor(x) + 1) for x in support]
-    else:
-        other, _ = read_empirical_csv(ref_name)
-        distance = mc.sup_distance_step(empirical, other)
-        ref_column = other.cdf(empirical.support).tolist()
-    rows = zip(support, empirical.cumulative().tolist(), ref_column)
+    ref_name = args.ref if args.ref is not None else _law_for(meta.get("mode"))
+    dist = N = None
+    if ref_name == "accompanying":
+        for name in ("p", "q1", "q2", "N"):  # flags first, then the CSV's metadata
+            if getattr(args, name) is None:
+                setattr(args, name, meta.get(name))
+        dist = _dist(args)
+        _require(args, "N")
+        try:
+            N = int(args.N)
+        except ValueError:
+            raise ValidationError(f"cannot parse N {args.N!r}") from None
+    distance, ref_column = _against(empirical, ref_name, dist, N)
+    rows = zip([float(x) for x in empirical.support], empirical.cumulative().tolist(), ref_column)
     if args.json:
         print(json.dumps({"sup_distance": distance, "reference": ref_name,
                           "table": [{"value": v, "ecdf": e, "reference_cdf": r}

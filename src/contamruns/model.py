@@ -66,9 +66,6 @@ class TrialDistribution:
     def as_floats(self) -> tuple[float, float, float]:
         return float(self.p), float(self.q1), float(self.q2)
 
-    def as_fractions(self) -> "TrialDistribution":
-        return TrialDistribution(Fraction(self.p), Fraction(self.q1), Fraction(self.q2))
-
     def swapped(self) -> "TrialDistribution":
         """Distribution with the two failure types interchanged."""
         return TrialDistribution(self.p, self.q2, self.q1)

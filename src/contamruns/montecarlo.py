@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .analytic import alpha_correction, m_of_n, window_probability
-from .model import TrialDistribution, ValidationError
+from .model import SizeError, TrialDistribution, ValidationError
 from .scan import ChunkScanner
 
 RNG_SCHEME_ID = "pcg64-seedseq-spawnkey-invcdf-v1"
@@ -148,7 +148,13 @@ def run_hitting_experiment(cfg: ExperimentConfig, workers: int = 1) -> Experimen
     if cfg.mode != "hitting":
         raise ValidationError("config mode must be 'hitting'")
     m = cfg.m
-    scale = float(alpha_correction(cfg.dist, m).alpha) * float(window_probability(cfg.dist, m))
+    alpha = alpha_correction(cfg.dist, m).alpha
+    if not alpha > 0:
+        raise ValidationError(f"alpha * P(A1) must be > 0; alpha = {float(alpha):.6g} at m = {m}")
+    scale = float(alpha) * float(window_probability(cfg.dist, m))
+    if scale == 0.0 or 1.0 / scale > HITTING_SAFETY_CAP:
+        raise SizeError(f"the expected hitting time 1/(alpha * P(A1)) at m = {m} is past the "
+                        f"cap of {HITTING_SAFETY_CAP} symbols per repetition")
     # expected tau is 1/scale; chunk a few multiples at a time
     chunk_size = int(min(_CHUNK, max(4 * m, 2.0 / scale)))
     floats = cfg.dist.as_floats()
@@ -178,19 +184,14 @@ def run_hitting_experiment(cfg: ExperimentConfig, workers: int = 1) -> Experimen
 
 
 def sup_distance(empirical: EmpiricalDistribution,
-                 reference_cdf) -> float:
-    """Kolmogorov-Smirnov statistic against a fixed reference CDF.
+                 reference_cdf: Callable[[float], float]) -> float:
+    """Kolmogorov-Smirnov statistic against a continuous reference CDF.
 
-    The reference is either a callable, treated as a continuous CDF and
-    compared against both the ECDF value and its left limit at every
-    support point, or another EmpiricalDistribution, in which case both
-    step functions are compared on the union of their supports (so a
-    distribution against itself gives exactly 0).
+    The ECDF value and its left limit are both compared with the
+    reference at every support point.
     """
     if empirical.total == 0:
         raise ValidationError("empirical distribution must be non-empty")
-    if isinstance(reference_cdf, EmpiricalDistribution):
-        return sup_distance_step(empirical, reference_cdf)
     cum = empirical.cumulative()
     left = np.concatenate(([0.0], cum[:-1]))
     ref = np.array([reference_cdf(float(x)) for x in empirical.support])

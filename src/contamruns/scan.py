@@ -8,16 +8,19 @@ longest at most 1+1 contaminated run; the first t with L(t) >= m is
 the end index of the first qualifying m-window.
 
 The scan engine is a vectorized chunk scanner that consumes numpy
-uint8 arrays and carries the four-index state across chunk borders, so
-arbitrarily long pull-based sources never need to be materialized.
+uint8 arrays and carries, across chunk borders, only the position and
+the two most recent positions of each failure type, so arbitrarily
+long pull-based sources never need to be materialized.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .model import Outcome, ValidationError, check_window_length
+
+_FAILURES = (int(Outcome.FAIL_PLUS), int(Outcome.FAIL_MINUS))
 
 
 class ChunkScanner:
@@ -25,43 +28,25 @@ class ChunkScanner:
 
     def __init__(self):
         self.position = 0
-        self.last_plus = 0
-        self.prev_plus = 0
-        self.last_minus = 0
-        self.prev_minus = 0
         self.best = 0
-
-    def _prev_trace(self, chunk: np.ndarray, symbol: int) -> np.ndarray:
-        """Second-most-recent occurrence of `symbol` at each chunk position."""
-        if symbol == int(Outcome.FAIL_PLUS):
-            prev_in, last_in = self.prev_plus, self.last_plus
-        else:
-            prev_in, last_in = self.prev_minus, self.last_minus
-        hits = np.flatnonzero(chunk == symbol)
-        occ = np.concatenate(([prev_in, last_in], self.position + 1 + hits))
-        cnt = np.cumsum(chunk == symbol)
-        prev_t = occ[cnt]
-        if symbol == int(Outcome.FAIL_PLUS):
-            self.prev_plus = int(occ[cnt[-1]]) if len(chunk) else prev_in
-            self.last_plus = int(occ[cnt[-1] + 1]) if len(chunk) else last_in
-        else:
-            self.prev_minus = int(occ[cnt[-1]]) if len(chunk) else prev_in
-            self.last_minus = int(occ[cnt[-1] + 1]) if len(chunk) else last_in
-        return prev_t
+        # row i: the second most recent and the most recent position of
+        # failure type _FAILURES[i] (0 while fewer have been seen)
+        self.recent = np.zeros((2, 2), dtype=np.int64)
 
     def suffix_lengths(self, chunk: np.ndarray) -> np.ndarray:
         """Advance over the chunk; return L at each of its positions."""
         chunk = np.asarray(chunk)
-        if chunk.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        prev_p = self._prev_trace(chunk, int(Outcome.FAIL_PLUS))
-        prev_m = self._prev_trace(chunk, int(Outcome.FAIL_MINUS))
+        prev = []  # per failure type: its second most recent position at each t
+        for recent, symbol in zip(self.recent, _FAILURES):
+            mask = chunk == symbol
+            occ = np.concatenate((recent, self.position + 1 + np.flatnonzero(mask)))
+            recent[:] = occ[-2:]
+            prev.append(occ.take(np.cumsum(mask)))
         positions = np.arange(self.position + 1, self.position + len(chunk) + 1, dtype=np.int64)
         self.position += len(chunk)
-        lengths = positions - np.maximum(prev_p, prev_m)
-        chunk_best = int(lengths.max())
-        if chunk_best > self.best:
-            self.best = chunk_best
+        start = np.maximum(*prev, out=prev[0])
+        lengths = np.subtract(positions, start, out=start)
+        self.best = max(self.best, int(lengths.max(initial=0)))
         return lengths
 
     def push(self, chunk: np.ndarray) -> None:
@@ -72,9 +57,7 @@ class ChunkScanner:
         start = self.position
         lengths = self.suffix_lengths(chunk)
         hit = np.flatnonzero(lengths >= m)
-        if hit.size:
-            return start + int(hit[0]) + 1
-        return None
+        return start + int(hit[0]) + 1 if hit.size else None
 
 
 def _as_array(seq) -> np.ndarray:
@@ -93,19 +76,6 @@ def longest_run(seq) -> int:
     return scanner.best
 
 
-def longest_run_chunked(chunks: Iterable[np.ndarray]) -> int:
-    """Longest run over a pull-based chunk source; nothing is retained."""
-    scanner = ChunkScanner()
-    empty = True
-    for chunk in chunks:
-        if len(chunk):
-            empty = False
-        scanner.push(chunk)
-    if empty:
-        raise ValidationError("sequence must be non-empty")
-    return scanner.best
-
-
 def first_hitting(seq, m: int) -> Optional[int]:
     """tau_m: end index of the first valid m-window, or None.
 
@@ -116,13 +86,3 @@ def first_hitting(seq, m: int) -> Optional[int]:
     arr = _as_array(seq)
     scanner = ChunkScanner()
     return scanner.push_until_hit(arr, m)
-
-
-def first_hitting_chunked(chunks: Iterable[np.ndarray], m: int) -> Optional[int]:
-    check_window_length(m, 1)
-    scanner = ChunkScanner()
-    for chunk in chunks:
-        hit = scanner.push_until_hit(chunk, m)
-        if hit is not None:
-            return hit
-    return None

@@ -272,3 +272,64 @@ def test_bounds_default_eps_is_the_exact_discrepancy(capsys):
     _, human, _ = run_cli(capsys, "analytic", "bounds", *THIRDS_ARGS,
                           "--m", "1000", "--N", "1000000")
     assert "degenerate" in human
+
+
+# --- compare without metadata, hitting refusals, one reference path -------------
+
+def test_compare_takes_missing_parameters_from_flags_or_refuses(capsys, tmp_path):
+    body = "value,count,ecdf\n-1,2,0.5\n0,2,1.0\n"
+    bare = tmp_path / "nometa.csv"
+    bare.write_text(body, encoding="utf-8")
+    code, _, err = run_cli(capsys, "compare", str(bare))
+    assert code == EXIT_USAGE and "--p" in err
+    no_n = tmp_path / "non.csv"
+    no_n.write_text("# p=1/3\n# q1=1/3\n# q2=1/3\n" + body, encoding="utf-8")
+    code, _, err = run_cli(capsys, "compare", str(no_n))
+    assert code == EXIT_USAGE and "--N" in err
+    bad_n = tmp_path / "badn.csv"
+    bad_n.write_text("# p=1/3\n# q1=1/3\n# q2=1/3\n# N=x\n" + body, encoding="utf-8")
+    code, _, err = run_cli(capsys, "compare", str(bad_n))
+    assert code == EXIT_VALIDATION and "N" in err
+    code, out, _ = run_cli(capsys, "--json", "compare", str(no_n), "--N", "5000")
+    assert code == 0
+    with_flags = json.loads(out)
+    code, out, _ = run_cli(capsys, "--json", "compare", str(bare), *THIRDS_ARGS, "--N", "5000")
+    assert code == 0 and json.loads(out) == with_flags
+    # the exp1 and CSV references need no parameters
+    code, _, _ = run_cli(capsys, "compare", str(bare), "--ref", "exp1")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "--json", "compare", str(bare), "--ref", str(bare))
+    assert code == 0 and json.loads(out)["sup_distance"] == 0.0
+
+
+@pytest.mark.parametrize("dist_args,m,exit_code", [
+    (THIRDS_ARGS, 1000, EXIT_BUDGET),  # alpha * P(A1) underflows to 0.0
+    (THIRDS_ARGS, 25, EXIT_BUDGET),    # expected tau ~ 2.2e9 symbols, past the cap
+    (("--p", "0.999998", "--q1", "0.000001", "--q2", "0.000001"), 100,
+     EXIT_VALIDATION),                 # alpha < 0
+])
+def test_hitting_experiment_refused_before_drawing(capsys, tmp_path, dist_args, m, exit_code):
+    code, _, err = run_cli(capsys, "--out", str(tmp_path), "experiment", "--mode", "hitting",
+                           *dist_args, "--N", "1", "--s", "1", "--m", str(m))
+    assert code == exit_code and "alpha" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode_args", [
+    ("--mode", "longest", "--N", "5000", "--s", "60"),
+    ("--mode", "hitting", "--N", "1", "--s", "60", "--m", "8"),
+])
+def test_experiment_report_equals_compare_on_its_csv(capsys, tmp_path, mode_args):
+    code, out, _ = run_cli(capsys, "--json", "--seed", "3", "--out", str(tmp_path),
+                           "experiment", *THIRDS_ARGS, *mode_args)
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    report = json.loads(open(outputs["report"], encoding="utf-8").read())
+    with open(outputs["reference"], encoding="utf-8") as f:
+        rows = [line.strip().split(",") for line in f if not line.startswith("#")][1:]
+    code, out, _ = run_cli(capsys, "--json", "compare", outputs["empirical"])
+    assert code == 0
+    compared = json.loads(out)
+    assert compared["reference"] == report["reference"]
+    assert compared["sup_distance"] == report["sup_distance"]
+    assert [float(c) for _, c in rows] == [row["reference_cdf"] for row in compared["table"]]

@@ -125,7 +125,6 @@ def test_empirical_distribution_invariants():
 
 def test_sup_distance_self_reference_is_zero():
     emp = EmpiricalDistribution.from_samples([1, 1, 2, 5])
-    assert sup_distance(emp, emp) == 0.0
     assert sup_distance_step(emp, emp) == 0.0
 
 

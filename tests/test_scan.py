@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contamruns.model import ValidationError, is_window_valid
-from contamruns.scan import (
-    ChunkScanner,
-    first_hitting,
-    first_hitting_chunked,
-    longest_run,
-    longest_run_chunked,
-)
+from contamruns.scan import ChunkScanner, first_hitting, longest_run
 
 sequences = st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=24)
 
@@ -62,8 +56,6 @@ def test_first_hitting_examples():
 def test_empty_sequences_rejected():
     with pytest.raises(ValidationError):
         longest_run([])
-    with pytest.raises(ValidationError):
-        longest_run_chunked([np.zeros(0, dtype=np.uint8)])
 
 
 def test_streaming_update_tracks_best():
@@ -99,15 +91,28 @@ def test_longest_run_monotone_under_extension(seq, extra):
     assert longest_run(seq + [extra]) >= longest_run(seq)
 
 
-@settings(max_examples=50)
-@given(sequences, st.integers(min_value=1, max_value=23))
-def test_chunk_split_is_invisible(seq, cut):
-    cut = min(cut, len(seq))
+def scan_pieces(pieces, m=None):
+    """Drive one ChunkScanner over the pieces: its best, or its first hit."""
+    scanner = ChunkScanner()
+    for piece in pieces:
+        if m is None:
+            scanner.push(piece)
+        else:
+            hit = scanner.push_until_hit(piece, m)
+            if hit is not None:
+                return hit
+    return scanner.best if m is None else None
+
+
+@settings(max_examples=100)
+@given(sequences, st.lists(st.integers(min_value=0, max_value=24), max_size=5))
+def test_chunk_split_is_invisible(seq, cuts):
+    # cuts may repeat or fall on either end, so some pieces are empty
     arr = np.asarray(seq, dtype=np.uint8)
-    chunks = [arr[:cut], arr[cut:]]
-    assert longest_run_chunked(chunks) == longest_run(seq)
+    pieces = np.split(arr, sorted(min(c, len(seq)) for c in cuts))
+    assert scan_pieces(pieces) == longest_run(seq)
     for m in (1, 2, 3, 5):
-        assert first_hitting_chunked(iter(chunks), m) == first_hitting(seq, m)
+        assert scan_pieces(pieces, m) == first_hitting(seq, m)
 
 
 def test_chunked_scan_constant_state_across_many_chunks():
@@ -115,4 +120,6 @@ def test_chunked_scan_constant_state_across_many_chunks():
     arr = rng.integers(0, 3, size=10_000, dtype=np.uint8).astype(np.uint8)
     whole = longest_run(arr)
     pieces = np.array_split(arr, 137)
-    assert longest_run_chunked(pieces) == whole
+    assert scan_pieces(pieces) == whole
+    for m in (5, 8, 12):
+        assert scan_pieces(pieces, m) == first_hitting(arr, m)
