@@ -40,7 +40,6 @@ from .montecarlo import (
     sup_distance_lattice,
 )
 from .oracle import (
-    dp_hitting_tail,
     dp_longest_cdf,
     enumerate_conditional,
     enumerate_event,

@@ -97,7 +97,7 @@ def joint_survival_casewise(dist: TrialDistribution, m: int):
     cases (pure first window, contamination at position 1 of a
     one-type window) contribute zero.  O(m^2) terms; deliberately not
     simplified so it can cross-check :func:`joint_survival_aggregated`,
-    which is the evaluation route for m >= 4.  This sum serves m = 2, 3.
+    the evaluation route.
     """
     check_window_length(m, 2)
     _check_exact_size(dist, m)
@@ -128,11 +128,9 @@ def joint_survival_casewise(dist: TrialDistribution, m: int):
 def joint_survival_aggregated(dist: TrialDistribution, m: int):
     """Same quantity as :func:`joint_survival_casewise`, via the
     simplified aggregate expressions: O(1) terms, and with exact inputs
-    the same Fraction as the casewise sum.
-
-    Requires m >= 4 so every aggregated index range is nonempty.
+    the same Fraction as the casewise sum, for every m >= 2.
     """
-    check_window_length(m, 4)
+    check_window_length(m, 2)
     _check_exact_size(dist, m)
     p, q1, q2 = dist.p, dist.q1, dist.q2
     s2 = q1 * q1 + q2 * q2
@@ -154,15 +152,9 @@ def joint_survival_aggregated(dist: TrialDistribution, m: int):
 
 
 def conditional_survival(dist: TrialDistribution, m: int):
-    """P(Abar_2 ... Abar_m | A1) = joint survival / window probability.
-
-    The joint survival comes from the aggregated closed form for m >= 4
-    and from the casewise sum for m = 2, 3, where the aggregated index
-    ranges are empty; the casewise sum is the O(m^2) cross-check.
-    """
-    check_window_length(m, 2)
-    joint = joint_survival_aggregated if m >= 4 else joint_survival_casewise
-    return joint(dist, m) / window_probability(dist, m)
+    """P(Abar_2 ... Abar_m | A1) = joint survival / window probability,
+    the joint survival from its aggregated closed form."""
+    return joint_survival_aggregated(dist, m) / window_probability(dist, m)
 
 
 def conditional_discrepancy(dist: TrialDistribution, m: int) -> float:
@@ -209,7 +201,12 @@ def cfk_condition_check(dist: TrialDistribution, m: int, eps: float) -> CfkRepor
 
 
 def cfk_bounds(alpha: float, eps: float, N: int, m: int, pA1: float) -> tuple[float, float]:
-    """Exponential sandwich for P(Abar_1 ... Abar_N) over N windows."""
+    """Exponential sandwich for P(Abar_1 ... Abar_N) over N windows.
+
+    The upper exponent is capped at 0: the upper bound is at most 1, as
+    it bounds a probability, and exp of a large positive exponent would
+    overflow.
+    """
     if not (0 < alpha <= 1):
         raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
     if eps < 0:
@@ -217,7 +214,7 @@ def cfk_bounds(alpha: float, eps: float, N: int, m: int, pA1: float) -> tuple[fl
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
     lower = math.exp(-(alpha + 10 * eps) * N * pA1 - 2 * m * pA1)
-    upper = math.exp(-(alpha - 10 * eps) * N * pA1 + 2 * m * pA1)
+    upper = math.exp(min(0.0, -(alpha - 10 * eps) * N * pA1 + 2 * m * pA1))
     return lower, upper
 
 

@@ -74,11 +74,13 @@ def _dist(args) -> TrialDistribution:
     return TrialDistribution(parse_prob(args.p), parse_prob(args.q1), parse_prob(args.q2))
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload: dict, human) -> None:
+    """Print the payload as JSON, or the human text (a string, or a
+    callable that makes it only when it is printed)."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(human)
+        print(human() if callable(human) else human)
 
 
 def _exact_str(v) -> str | None:
@@ -185,7 +187,7 @@ def cmd_oracle(args) -> int:
         _print_prob(args, f"P(mu({args.N}) < {args.m})", v)
     elif q == "hitting-tail":
         _require(args, "N", "m")
-        v = orc.dp_hitting_tail(dist, args.m, args.N, mode=args.mode, budget=args.budget)
+        v = orc.dp_longest_cdf(dist, args.N, args.m, mode=args.mode, budget=args.budget)
         _print_prob(args, f"P(tau_{args.m} > {args.N})", v)
     elif q == "conditional":
         _require(args, "m")
@@ -272,8 +274,8 @@ def cmd_experiment(args) -> int:
     write_empirical_csv(emp_path, result.empirical, meta)
     ref_name = _law_for(cfg.mode)
     distance, column = _against(result.empirical, ref_name, cfg.dist, cfg.N)
-    grid = [int(x) if cfg.mode == "longest" else float(x) for x in result.empirical.support]
-    write_reference_csv(ref_path, grid, column, {**meta, "reference": ref_name})
+    write_reference_csv(ref_path, result.empirical.support.tolist(), column,
+                        {**meta, "reference": ref_name})
     report = {"sup_distance": distance, "reference": ref_name,
               "samples": result.empirical.total, "excluded": result.excluded}
     rep_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -312,15 +314,14 @@ def cmd_compare(args) -> int:
         except ValueError:
             raise ValidationError(f"cannot parse N {args.N!r}") from None
     distance, ref_column = _against(empirical, ref_name, dist, N)
-    rows = zip([float(x) for x in empirical.support], empirical.cumulative().tolist(), ref_column)
-    if args.json:
-        print(json.dumps({"sup_distance": distance, "reference": ref_name,
-                          "table": [{"value": v, "ecdf": e, "reference_cdf": r}
-                                    for v, e, r in rows]}, sort_keys=True))
-    else:
-        print("\n".join([f"sup-distance vs {ref_name}: {distance:.6f}",
-                         "value,ecdf,reference_cdf",
-                         *(f"{v!r},{e!r},{r!r}" for v, e, r in rows)]))
+    rows = list(zip([float(x) for x in empirical.support],
+                    empirical.cdf(empirical.support).tolist(), ref_column))
+    _emit(args,
+          {"sup_distance": distance, "reference": ref_name,
+           "table": [{"value": v, "ecdf": e, "reference_cdf": r} for v, e, r in rows]},
+          lambda: "\n".join([f"sup-distance vs {ref_name}: {distance:.6f}",
+                             "value,ecdf,reference_cdf",
+                             *(f"{v!r},{e!r},{r!r}" for v, e, r in rows)]))
     return 0
 
 

@@ -9,6 +9,7 @@ the experiment bit-identically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -25,14 +26,13 @@ class FileFormatError(ValueError):
 
 
 def write_empirical_csv(path, empirical: EmpiricalDistribution, metadata: dict) -> None:
-    cum = empirical.cumulative()
+    cum = empirical.cdf(empirical.support)
     with open(path, "w", encoding="utf-8") as f:
         for key, value in metadata.items():
             f.write(f"# {key}={value}\n")
         f.write("value,count,ecdf\n")
-        for x, w, c in zip(empirical.support, empirical.weights, cum):
-            xs = repr(int(x)) if np.issubdtype(empirical.support.dtype, np.integer) else repr(float(x))
-            f.write(f"{xs},{int(w)},{float(c)!r}\n")
+        for x, w, c in zip(empirical.support.tolist(), empirical.weights.tolist(), cum.tolist()):
+            f.write(f"{x!r},{w},{c!r}\n")
 
 
 def read_empirical_csv(path) -> tuple[EmpiricalDistribution, dict]:
@@ -66,6 +66,10 @@ def read_empirical_csv(path) -> tuple[EmpiricalDistribution, dict]:
             w = int(parts[1])
         except ValueError as exc:
             raise FileFormatError(str(exc), lineno) from None
+        if not math.isfinite(x):
+            raise FileFormatError(f"value must be finite, got {parts[0]!r}", lineno)
+        if w < 1:
+            raise FileFormatError(f"count must be >= 1, got {w}", lineno)
         if "." in parts[0] or "e" in parts[0] or "E" in parts[0]:
             integer_support = False
         support.append(x)
@@ -101,21 +105,14 @@ class RunManifest:
     excluded: int
     outputs: dict = field(default_factory=dict)  # logical name -> path
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        data = json.loads(text)
-        return cls(**data)
-
 
 def write_manifest(path, manifest: RunManifest) -> None:
-    Path(path).write_text(manifest.to_json() + "\n", encoding="utf-8")
+    text = json.dumps(asdict(manifest), indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def read_manifest(path) -> RunManifest:
     try:
-        return RunManifest.from_json(Path(path).read_text(encoding="utf-8"))
+        return RunManifest(**json.loads(Path(path).read_text(encoding="utf-8")))
     except (json.JSONDecodeError, TypeError) as exc:
         raise FileFormatError(f"bad manifest: {exc}") from None

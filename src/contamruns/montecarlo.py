@@ -107,9 +107,6 @@ class EmpiricalDistribution:
             return int(below) / self.total
         return below / self.total
 
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.weights) / self.total
-
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -122,7 +119,7 @@ def _map_reps(fn: Callable[[int], float], s: int, workers: int) -> list:
     if workers <= 1:
         return [fn(i) for i in range(s)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(s), chunksize=max(1, s // (8 * workers))))
+        return list(pool.map(fn, range(s)))
 
 
 def run_longest_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -157,14 +154,12 @@ def run_hitting_experiment(cfg: ExperimentConfig, workers: int = 1) -> Experimen
                         f"cap of {HITTING_SAFETY_CAP} symbols per repetition")
     # expected tau is 1/scale; chunk a few multiples at a time
     chunk_size = int(min(_CHUNK, max(4 * m, 2.0 / scale)))
-    floats = cfg.dist.as_floats()
 
     def one(rep: int) -> float:
         rng = repetition_rng(cfg.seed, rep)
         scanner = ChunkScanner()
-        while scanner.position < HITTING_SAFETY_CAP:
-            n = min(chunk_size, HITTING_SAFETY_CAP - scanner.position)
-            hit = scanner.push_until_hit(_draw_chunk(rng, floats, n), m)
+        for chunk in outcome_chunks(cfg.dist, rng, HITTING_SAFETY_CAP, chunk_size):
+            hit = scanner.push_until_hit(chunk, m)
             if hit is not None:
                 return hit * scale
         return math.nan  # capped; excluded from the empirical law
@@ -192,7 +187,7 @@ def sup_distance(empirical: EmpiricalDistribution,
     """
     if empirical.total == 0:
         raise ValidationError("empirical distribution must be non-empty")
-    cum = empirical.cumulative()
+    cum = empirical.cdf(empirical.support)
     left = np.concatenate(([0.0], cum[:-1]))
     ref = np.array([reference_cdf(float(x)) for x in empirical.support])
     return float(np.max(np.maximum(np.abs(cum - ref), np.abs(left - ref))))

@@ -29,16 +29,9 @@ ENUM_MAX_N = 14
 DEFAULT_BUDGET = 10 ** 9
 
 
-def _weights(dist: TrialDistribution):
-    """(p, q1, q2) in exact arithmetic when the distribution is exact."""
-    if dist.is_exact:
-        return Fraction(dist.p), Fraction(dist.q1), Fraction(dist.q2)
-    return dist.as_floats()
-
-
 def _prob_from_counts(dist: TrialDistribution, n: int, counts: np.ndarray):
     """Sum of sequence probabilities given counts[n1, n2] of sequences."""
-    p, q1, q2 = _weights(dist)
+    p, q1, q2 = (dist.p, dist.q1, dist.q2) if dist.is_exact else dist.as_floats()
     total = 0
     for n1, n2 in zip(*np.nonzero(counts)):
         c = int(counts[n1, n2])
@@ -158,6 +151,38 @@ def longest_cdf_by_enumeration(dist: TrialDistribution, N: int, m: int):
 
 # --- dynamic program over the minimal suffix chain --------------------
 
+# Cost model of dp_longest_cdf, in word operations of 1-3 ns each.
+# Measured with numpy on a 2-vCPU x86-64 VM:
+# * building the chain takes 3.5-6 us per state (m = 10..80);
+# * a float step takes 3-5 us of numpy call overhead (at S = 4, m = 2)
+#   plus 8-13 ns per state (S = 2680..170720);
+# * an exact step does three Python-int products per state, each ~45 ns
+#   plus ~4 ns per pair of 64-bit words multiplied; f grows to about
+#   N log2(d) bits and a weight has up to log2(d) bits.  With d = 3 the
+#   model gives 2.5-3.3 ns per counted operation, with a 998-bit d 0.9-1.1.
+BUILD_COST = 2000          # per chain state
+STEP_COST = 2000           # per step, either mode
+EXACT_PRODUCT_COST = 15    # per big-integer product, besides its words
+LIFT_BITS = 600            # float mode: f is lifted by 2^600 when f(0) < 2^-600
+_LIFT_BELOW = 2.0 ** -LIFT_BITS
+
+
+def _dp_work(N: int, m: int, bits: int | None) -> int:
+    """Word operations :func:`dp_longest_cdf` spends: the chain build, then
+    N steps of three products per state.  `bits` is the size of the
+    common denominator in exact mode, None in float mode."""
+    S = m * (m + 1) * (2 * m + 1) // 6 - m * (m - 1) // 2  # states of _dp_chain(m)
+    per_product = 1
+    if bits is not None:
+        per_product = EXACT_PRODUCT_COST + -(-bits // 64) * (N * bits // 64)
+    return BUILD_COST * S + N * (STEP_COST + 3 * S * per_product)
+
+
+def _sci(x) -> str:
+    """x as %.2e; an integer past the double range as a power of ten."""
+    return f"{x:.2e}" if x < 1e300 else f"10^{math.log10(x):.1f}"
+
+
 def _dp_chain(m: int) -> np.ndarray:
     """Successor table of the minimal chain for {mu(N) < m}, shape (3, S).
 
@@ -190,49 +215,47 @@ def _dp_chain(m: int) -> np.ndarray:
 
 def dp_longest_cdf(dist: TrialDistribution, N: int, m: int, mode: str = "float",
                    budget: float = DEFAULT_BUDGET):
-    """Exact P(mu(N) < m) by backward recursion on the minimal chain.
+    """Exact P(mu(N) < m) = P(tau_m > N) by backward recursion on the minimal chain.
 
     f_k(s) = P(no valid m-window within k more trials from state s), so
     f_{k+1}(s) = p f_k(succ0(s)) + q1 f_k(succ1(s)) + q2 f_k(succ2(s))
     with f = 0 on the absorbing state, and the answer is f_N(0).  Exact
     mode on a Fraction distribution runs in integers: the weights are
     put over their common denominator d and the result is divided by
-    d^N once.  Otherwise the same loop runs in float64.
+    d^N once.  Otherwise the same loop runs in float64; f(0) is the
+    largest entry, and f is lifted by a power of two whenever f(0)
+    drops below 2^-LIFT_BITS, so nothing underflows before the final
+    ldexp.  The cost (see :func:`_dp_work`) is checked against `budget`
+    before the chain is built.
     """
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
     check_window_length(m, 1)
     if mode not in ("float", "exact"):
         raise ValidationError(f"mode must be 'float' or 'exact', got {mode!r}")
-    succ = _dp_chain(m)
-    S = succ.shape[1]
     exact = mode == "exact" and dist.is_exact
+    if N < m:  # no m-window fits
+        return Fraction(1) if exact else 1.0
     if exact:
-        fracs = _weights(dist)
-        d = math.lcm(*(x.denominator for x in fracs))
-        weights = [int(x * d) for x in fracs]
-        # big-integer operands grow to about N log2(d) bits
-        work = 3 * S * N * max(1, N * d.bit_length() // 64)
+        d = math.lcm(dist.p.denominator, dist.q1.denominator, dist.q2.denominator)
+        weights = [int(x * d) for x in (dist.p, dist.q1, dist.q2)]
     else:
         weights = dist.as_floats()
-        work = 3 * S * N
+    work = _dp_work(N, m, d.bit_length() if exact else None)
     if budget is not None and work > budget:
         raise SizeError(
-            f"DP needs ~{work:.2e} word operations (> budget {budget:.2e}); "
+            f"DP needs ~{_sci(work)} word operations (> budget {_sci(budget)}); "
             f"raise `budget` to force the run"
         )
+    succ = _dp_chain(m)
+    S = succ.shape[1]
     f = np.ones(S + 1, dtype=object if exact else np.float64)
     f[S] = 0
     (w0, w1, w2), (s0, s1, s2) = weights, succ
+    lifted = 0
     for _ in range(N):
         f[:S] = w0 * f[s0] + w1 * f[s1] + w2 * f[s2]
-    return Fraction(f[0], d ** N) if exact else float(f[0])
-
-
-def dp_hitting_tail(dist: TrialDistribution, m: int, N: int, mode: str = "float",
-                    budget: float = DEFAULT_BUDGET):
-    """P(tau_m > N); coincides with P(mu(N) < m)."""
-    check_window_length(m, 1)
-    if N < m:
-        return Fraction(1) if (mode == "exact" and dist.is_exact) else 1.0
-    return dp_longest_cdf(dist, N, m, mode=mode, budget=budget)
+        if not exact and f[0] < _LIFT_BELOW:
+            f *= 2.0 ** LIFT_BITS
+            lifted += LIFT_BITS
+    return Fraction(f[0], d ** N) if exact else math.ldexp(float(f[0]), -lifted)

@@ -98,7 +98,7 @@ def test_casewise_equals_enumeration_exactly():
 
 def test_casewise_equals_aggregated():
     for d in TRIPLES:
-        for m in range(4, 13):
+        for m in range(2, 13):
             cw = float(joint_survival_casewise(d, m))
             ag = float(joint_survival_aggregated(d, m))
             assert ag == pytest.approx(cw, rel=1e-9)
@@ -106,7 +106,7 @@ def test_casewise_equals_aggregated():
 
 def test_aggregated_rejects_short_windows():
     with pytest.raises(ValidationError):
-        joint_survival_aggregated(THIRDS, 3)
+        joint_survival_aggregated(THIRDS, 1)
 
 
 def test_joint_survival_below_window_probability():
@@ -184,6 +184,9 @@ def test_cfk_bounds_shape():
     assert hi0 / lo0 == pytest.approx(math.exp(4 * 10 * 1e-3), rel=1e-12)
     lo2, hi2 = cfk_bounds(alpha=0.5, eps=0.01, N=2000, m=10, pA1=1e-3)
     assert hi2 < hi and lo2 < lo
+    # alpha < 10 eps: the upper exponent grows with N; capped at 0, it
+    # neither passes 1 nor overflows
+    assert cfk_bounds(alpha=0.1, eps=0.1, N=10 ** 6, m=4, pA1=0.5) == (0.0, 1.0)
 
 
 def test_cfk_bounds_rejects_bad_inputs():

@@ -53,6 +53,11 @@ def test_empirical_csv_round_trip_floats(tmp_path):
     ("value,count,ecdf\n1,x,0.5\n", 2),
     ("value,count,ecdf\n2,1,0.5\n1,1,1.0\n", None),  # non-increasing support
     ("# only=metadata\n", None),                      # no header at all
+    ("value,count,ecdf\n1,1,0.5\ninf,1,1.0\n", 3),     # non-finite values
+    ("value,count,ecdf\nnan,1,1.0\n", 2),
+    ("value,count,ecdf\n-inf,1,0.5\n1,1,1.0\n", 2),
+    ("value,count,ecdf\n1,-1,0.5\n2,1,1.0\n", 2),     # counts below 1
+    ("value,count,ecdf\n1,2,0.5\n2,0,1.0\n", 3),
 ])
 def test_malformed_csv_raises_with_line(tmp_path, body, bad_line):
     path = tmp_path / "bad.csv"
@@ -333,3 +338,32 @@ def test_experiment_report_equals_compare_on_its_csv(capsys, tmp_path, mode_args
     assert compared["reference"] == report["reference"]
     assert compared["sup_distance"] == report["sup_distance"]
     assert [float(c) for _, c in rows] == [row["reference_cdf"] for row in compared["table"]]
+
+
+# --- ordinary inputs that must not crash ----------------------------------------
+
+@pytest.mark.parametrize("N", ["0", "-3"])
+def test_hitting_tail_rejects_nonpositive_n(capsys, N):
+    for query in ("hitting-tail", "longest-cdf"):
+        code, _, err = run_cli(capsys, "oracle", query, *THIRDS_ARGS, "--m", "5", "--N", N)
+        assert code == EXIT_VALIDATION and "N must be >= 1" in err
+
+
+def test_hitting_tail_is_the_longest_run_cdf(capsys):
+    def value(query, N):
+        code, out, _ = run_cli(capsys, "--json", "oracle", query, *THIRDS_ARGS,
+                               "--m", "5", "--N", str(N))
+        assert code == 0
+        return json.loads(out)
+    assert value("hitting-tail", 3) == {"value": 1.0, "exact": "1/1"}
+    assert value("hitting-tail", 30) == value("longest-cdf", 30)
+
+
+@pytest.mark.parametrize("m,N", [(3, 100_000), (4, 100_000), (4, 100)])
+def test_bounds_upper_is_capped_at_one(capsys, m, N):
+    # alpha < 10 eps at these small m, so the upper exponent is positive
+    code, out, _ = run_cli(capsys, "--json", "analytic", "bounds", *THIRDS_ARGS,
+                           "--m", str(m), "--N", str(N))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["upper"] == 1.0 and 0 <= payload["lower"] < 1

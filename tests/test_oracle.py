@@ -7,7 +7,6 @@ from contamruns.model import TrialDistribution, ValidationError, is_window_valid
 from contamruns.oracle import (
     SizeError,
     _dp_chain,
-    dp_hitting_tail,
     dp_longest_cdf,
     enumerate_conditional,
     enumerate_event,
@@ -106,15 +105,18 @@ def test_dp_float_agrees_with_exact():
 def test_dp_cdf_monotone_in_m_and_n():
     vals = [float(dp_longest_cdf(THIRDS, 40, m)) for m in range(2, 9)]
     assert vals == sorted(vals)
-    tails = [float(dp_hitting_tail(THIRDS, 5, N)) for N in (5, 10, 20, 40)]
+    tails = [float(dp_longest_cdf(THIRDS, N, 5)) for N in (5, 10, 20, 40)]
     assert tails == sorted(tails, reverse=True)
 
 
 def test_dp_hitting_tail_matches_enumeration():
     # P(tau_m > N) telescopes the longest-run law
-    assert dp_hitting_tail(SKEWED, 4, 12, mode="exact") == \
+    assert dp_longest_cdf(SKEWED, 12, 4, mode="exact") == \
         longest_cdf_by_enumeration(SKEWED, 12, 4)
-    assert dp_hitting_tail(SKEWED, 4, 3, mode="exact") == 1
+    # no m-window fits in N < m trials
+    assert dp_longest_cdf(SKEWED, 3, 4, mode="exact") == 1
+    assert dp_longest_cdf(SKEWED, 3, 4, mode="float") == 1.0
+    assert dp_longest_cdf(SKEWED, 3, 10 ** 6, budget=1) == 1.0
 
 
 def test_dp_budget_refusal():
@@ -127,6 +129,36 @@ def test_dp_budget_refusal():
     with pytest.raises(SizeError):
         dp_longest_cdf(THIRDS, 10 ** 5, 10, mode="exact")
     assert 0 < dp_longest_cdf(THIRDS, 10 ** 5, 10, mode="float") < 1
+    # the budget is checked before the chain is built: at m = 1000 the
+    # chain would have ~3.3e8 states
+    with pytest.raises(SizeError):
+        dp_longest_cdf(THIRDS, 10 ** 6, 240, mode="float")
+    with pytest.raises(SizeError):
+        dp_longest_cdf(THIRDS, 2000, 1000, mode="float")
+    # each float step has a fixed cost: at m = 2 the 4 states are cheap,
+    # the 10^7 steps are not
+    with pytest.raises(SizeError):
+        dp_longest_cdf(THIRDS, 10 ** 7, 2, mode="float")
+    # work past the double range still makes a message
+    with pytest.raises(SizeError, match=r"~10\^303\.5 word"):
+        dp_longest_cdf(THIRDS, 10 ** 300, 10, mode="float")
+    with pytest.raises(SizeError, match=r"~10\^601\.5 word"):
+        dp_longest_cdf(THIRDS, 10 ** 300, 10, mode="exact")
+    # weights over a ~1000-bit denominator make every product ~16x dearer
+    tiny = TrialDistribution(Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10 ** 300),
+                             Fraction(1, 10 ** 300))
+    with pytest.raises(SizeError):
+        dp_longest_cdf(tiny, 200, 10, mode="exact")
+    # the exact (N=2000, m=12) case stays accepted
+    assert 0 < dp_longest_cdf(THIRDS, 2000, 12, mode="exact") < 1
+
+
+def test_dp_float_does_not_underflow():
+    # f(0) would fall through the subnormal range: 3.177e-321 against
+    # 3.187e-321 at N = 2120, and 1e-323 where the exact value is ~4e-1513
+    for N in (2120, 10000):
+        assert dp_longest_cdf(THIRDS, N, 3, mode="float") == \
+            float(dp_longest_cdf(THIRDS, N, 3, mode="exact"))
 
 
 def test_dp_chain_is_minimal_size():
