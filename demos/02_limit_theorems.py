@@ -17,7 +17,7 @@ from contamruns import (
     accompanying_cdf,
     dp_longest_cdf,
     exponent_l,
-    h_function,
+    h_function_terms,
     m_of_n,
     theorem1_limit_cdf,
 )
@@ -32,7 +32,7 @@ for name, value in r.terms.items():
     print(f"  {value:+12.6f}  {name}")
 
 # the correction polynomial entering the exponent
-print(f"\nH(0.5) at N={N}: {h_function(thirds, N, 0.5):.9f}")
+print(f"\nH(0.5) at N={N}: {h_function_terms(thirds, N, 0.5).total:.9f}")
 
 # the accompanying CDF on the integer grid around the centering value
 print("\nk   P(mu(N) - [m(N)] < k)   exact exponent l")

@@ -13,7 +13,7 @@ from .analytic import (
     conditional_discrepancy,
     conditional_survival,
     exponent_l,
-    h_function,
+    h_function_terms,
     joint_survival_aggregated,
     joint_survival_casewise,
     m_of_n,

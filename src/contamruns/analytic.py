@@ -3,9 +3,9 @@
 Everything here is a pure function of a TrialDistribution and scalar
 parameters.  Conventions:
 
-* `log` without qualification means logarithm to base 1/p; the single
-  conversion point is :func:`log_recip_p` (avoids base drift).
-* Exact Fraction inputs with integer window lengths propagate exactly
+* `log` without qualification means logarithm to base 1/p: a natural
+  log divided by the constant C = ln(1/p) of :func:`derive_constants`.
+* Window lengths are integers.  Exact Fraction inputs propagate exactly
   through the polynomial formulas (window probability, the joint
   survival sums, alpha).  Their cost grows with the size of p^m, so
   exact evaluation is refused past :data:`EXACT_MAX_BITS`.
@@ -13,6 +13,7 @@ parameters.  Conventions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .model import (
@@ -22,6 +23,7 @@ from .model import (
     ValidationError,
     check_window_length,
     derive_constants,
+    finite_float,
 )
 
 # Cap on m * bit_length(d), the size in bits of the exact power p^m, where d
@@ -44,27 +46,14 @@ def _check_exact_size(dist: TrialDistribution, m: int) -> None:
         )
 
 
-def log_recip_p(x: float, dist: TrialDistribution) -> float:
-    """log base 1/p of x; the natural-log constant is C = ln(1/p)."""
-    C = math.log(1.0 / float(dist.p))
-    return math.log(x) / C
-
-
-def window_probability(dist: TrialDistribution, m):
+def window_probability(dist: TrialDistribution, m: int):
     """P(A1): an m-window is at most 1+1 contaminated.
 
-    p^m + m(1-p)p^(m-1) + m(m-1)p^(m-2) q1 q2.  Integer m keeps exact
-    inputs exact; real-valued m drops to floats (needed when evaluating
-    at the non-integer centering sequence).
+    p^m + m(1-p)p^(m-1) + m(m-1)p^(m-2) q1 q2; exact inputs stay exact.
     """
-    if isinstance(m, int):
-        check_window_length(m, 1)
-        _check_exact_size(dist, m)
-        p, q1, q2 = dist.p, dist.q1, dist.q2
-    else:
-        if m < 1:
-            raise ValidationError(f"window length must be >= 1, got {m}")
-        p, q1, q2 = dist.as_floats()
+    check_window_length(m, 1)
+    _check_exact_size(dist, m)
+    p, q1, q2 = dist.p, dist.q1, dist.q2
     return p ** m + m * (1 - p) * p ** (m - 1) + m * (m - 1) * p ** (m - 2) * q1 * q2
 
 
@@ -213,6 +202,8 @@ def cfk_bounds(alpha: float, eps: float, N: int, m: int, pA1: float) -> tuple[fl
         raise ValidationError(f"eps must be >= 0, got {eps}")
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
+    if N > sys.float_info.max:
+        raise ValidationError(f"N must be at most {sys.float_info.max:.6g}, the double range")
     lower = math.exp(-(alpha + 10 * eps) * N * pA1 - 2 * m * pA1)
     upper = math.exp(min(0.0, -(alpha - 10 * eps) * N * pA1 + 2 * m * pA1))
     return lower, upper
@@ -226,16 +217,18 @@ def theorem1_limit_cdf(x: float) -> float:
 
 
 def _check_logs(dist: TrialDistribution, N: int) -> tuple[float, float, DerivedConstants]:
+    """log N and log log N (base 1/p) and the constants; math.log takes
+    an integer N of any size."""
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
-    lN = log_recip_p(float(N), dist)
+    c = derive_constants(dist)
+    lN = math.log(N) / c.C
     if lN <= 1.0:
         raise ValidationError(
             f"need log_(1/p) N > 1 (i.e. N > 1/p) so that log log N is defined; "
             f"got N={N}, log N = {lN}"
         )
-    llN = log_recip_p(lN, dist)
-    return lN, llN, derive_constants(dist)
+    return lN, math.log(lN) / c.C, c
 
 
 @dataclass(frozen=True)
@@ -262,7 +255,7 @@ def m_of_n(dist: TrialDistribution, N: int) -> ExpansionTerms:
     into the (loglog N)^2/(log N)^3 and loglog N/(log N)^3 terms.
     """
     lN, llN, c = _check_logs(dist, N)
-    C, C0, C1, K = c.C, float(c.C0), float(c.C1), c.K
+    C, C0, C1, K = c.C, float(c.C0), finite_float(c.C1, "C1"), c.K
     r = (C1 - C0) / (C * C0)
     terms = {
         "log N": lN,
@@ -281,14 +274,10 @@ def m_of_n(dist: TrialDistribution, N: int) -> ExpansionTerms:
     return ExpansionTerms(terms=terms, total=math.fsum(terms.values()))
 
 
-def h_function(dist: TrialDistribution, N: int, x: float) -> float:
-    """Correction polynomial H(x) entering the accompanying CDF exponent."""
-    return h_function_terms(dist, N, x).total
-
-
 def h_function_terms(dist: TrialDistribution, N: int, x: float) -> ExpansionTerms:
+    """Correction polynomial H(x) entering the accompanying CDF exponent."""
     lN, llN, c = _check_logs(dist, N)
-    C, C0, C1 = c.C, float(c.C0), float(c.C1)
+    C, C0, C1 = c.C, float(c.C0), finite_float(c.C1, "C1")
     r = (C1 - C0) / (C * C0)
     terms = {
         "-x": -x,
@@ -300,6 +289,8 @@ def h_function_terms(dist: TrialDistribution, N: int, x: float) -> ExpansionTerm
         "-x^2/(C (log N)^2)": -x * x / (C * lN ** 2),
         "4/C loglog N/(log N)^3 x^2": 4 / C * llN / lN ** 3 * x * x,
     }
+    if not all(map(math.isfinite, terms.values())):
+        raise ValidationError(f"x must keep every term of H(x) a finite double, got {x!r}")
     return ExpansionTerms(terms=terms, total=math.fsum(terms.values()))
 
 
@@ -319,8 +310,13 @@ def accompanying_cdf_details(dist: TrialDistribution, N: int, k: int) -> Accompa
     _, _, c = _check_logs(dist, N)
     p, q1, q2 = dist.as_floats()
     frac = m_of_n(dist, N).fractional_part
-    x = k - frac
-    L = log_recip_p(float(c.C0) * q1 * q2 / (p * p), dist) + h_function(dist, N, x)
+    try:  # OverflowError: |k| past the double range; ValueError: H(k - frac) or
+        # log(C0 q1 q2 / p^2) leaves it; ZeroDivisionError: p * p underflows
+        H = h_function_terms(dist, N, k - frac).total
+        L = math.log(float(c.C0) * q1 * q2 / (p * p)) / c.C + H
+    except (OverflowError, ValueError, ZeroDivisionError):
+        raise ValidationError("k, p, q1 or q2 puts the accompanying exponent past the "
+                              "double range") from None
     log_l = c.C * L  # natural log of the exponent l = (1/p)^L
     clamped = False
     if log_l > 700.0:

@@ -7,8 +7,11 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 size/budget refusal,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -26,12 +29,15 @@ from .files import (
     write_manifest,
     write_reference_csv,
 )
-from .model import SizeError, TrialDistribution, ValidationError
+from .model import SizeError, TrialDistribution, ValidationError, finite_float
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
+
+# --threads above this is refused before any thread starts; 8 is always allowed
+MAX_THREADS = max(8, 4 * (os.cpu_count() or 1))
 
 # (p, q1, q2, N, s, m) parameter sets for the eight figure presets
 FIGURE_PRESETS = {
@@ -56,7 +62,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_prob(text: str) -> Fraction:
-    """Accept '1/3' and decimal literals; both become exact fractions."""
+    """Accept '1/3' and decimal literals; both become exact fractions.  An
+    exponent of five digits is refused: 10^e takes seconds past e = 10^6."""
+    if re.search(r"[eE][-+]?0*[1-9]\d{4}", text):
+        raise ValidationError(f"probability exponent past 9999 in {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -98,8 +107,8 @@ def cmd_analytic(args) -> int:
     q = args.quantity
     if q == "constants":
         c = an.derive_constants(_dist(args))
-        payload = {"C": c.C, "C0": float(c.C0), "C1": float(c.C1),
-                   "C2": float(c.C2), "K": c.K}
+        payload = {"C": c.C, "C0": float(c.C0), "C1": finite_float(c.C1, "C1"),
+                   "C2": finite_float(c.C2, "C2"), "K": c.K}
         _emit(args, payload, "\n".join(f"{k} = {v}" for k, v in payload.items()))
     elif q == "pA1":
         _require(args, "m")
@@ -111,11 +120,11 @@ def cmd_analytic(args) -> int:
     elif q == "alpha":
         _require(args, "m")
         b = an.alpha_correction(_dist(args), args.m)
-        payload = {"alpha": float(b.alpha), "numerator": float(b.numerator),
-                   "denominator": float(b.denominator)}
+        payload = {k: finite_float(getattr(b, k), k)
+                   for k in ("alpha", "numerator", "denominator")}
         _emit(args, payload,
-              f"alpha = {float(b.alpha):.9g} "
-              f"(numerator {float(b.numerator):.9g} / denominator {float(b.denominator):.9g})")
+              f"alpha = {payload['alpha']:.9g} (numerator {payload['numerator']:.9g} "
+              f"/ denominator {payload['denominator']:.9g})")
     elif q == "mN":
         _require(args, "N")
         r = an.m_of_n(_dist(args), args.N)
@@ -148,9 +157,8 @@ def cmd_analytic(args) -> int:
         dist = _dist(args)
         alpha = float(an.alpha_correction(dist, args.m).alpha)
         pa1 = float(an.window_probability(dist, args.m))
-        eps = args.eps if args.eps is not None else an.conditional_discrepancy(dist, args.m)
-        # the measured eps is 0.0 only when it underflows the double range
-        degenerate = args.eps is None and eps == 0.0
+        eps = an.conditional_discrepancy(dist, args.m)
+        degenerate = eps == 0.0  # the measured eps underflowed the double range
         lo, hi = an.cfk_bounds(alpha, eps, args.N, args.m, pa1)
         payload = {"lower": lo, "upper": hi, "alpha": alpha, "eps": eps, "pA1": pa1,
                    "degenerate": degenerate}
@@ -181,14 +189,11 @@ def _print_prob(args, label: str, v) -> None:
 def cmd_oracle(args) -> int:
     q = args.query
     dist = _dist(args)
-    if q == "longest-cdf":
+    if q in ("longest-cdf", "hitting-tail"):  # P(mu(N) < m) = P(tau_m > N)
         _require(args, "N", "m")
         v = orc.dp_longest_cdf(dist, args.N, args.m, mode=args.mode, budget=args.budget)
-        _print_prob(args, f"P(mu({args.N}) < {args.m})", v)
-    elif q == "hitting-tail":
-        _require(args, "N", "m")
-        v = orc.dp_longest_cdf(dist, args.N, args.m, mode=args.mode, budget=args.budget)
-        _print_prob(args, f"P(tau_{args.m} > {args.N})", v)
+        _print_prob(args, f"P(mu({args.N}) < {args.m})" if q == "longest-cdf"
+                    else f"P(tau_{args.m} > {args.N})", v)
     elif q == "conditional":
         _require(args, "m")
         v = orc.enumerate_conditional(dist, args.m)
@@ -214,14 +219,15 @@ def _experiment_config(args) -> tuple[mc.ExperimentConfig, float]:
         s = args.s if args.s is not None else s
         m = args.m if args.m is not None else m
     else:
-        _require(args, "N", "s")
+        _require(args, "s", *(["N"] if args.mode == "longest" else []))
         N, s, m = args.N, args.s, args.m
     scale = args.scale
     if scale is not None:
         if not (0 < scale <= 1):
             raise ValidationError(f"--scale must lie in (0, 1], got {scale}")
-        N = max(1, int(round(N * scale)))
-        s = max(1, int(round(s * scale)))
+        # exact products: an int N past the double range does not overflow
+        N = None if N is None else max(1, round(N * Fraction(scale)))
+        s = max(1, round(s * Fraction(scale)))
     if args.mode == "hitting" and m is None:
         raise UsageError("hitting mode requires --m (or a --figure preset)")
     cfg = mc.ExperimentConfig(dist=_dist(args), N=N, s=s, seed=args.seed,
@@ -253,7 +259,15 @@ def _against(empirical, ref_name: str, dist=None, N=None):
 
 
 def cmd_experiment(args) -> int:
+    if args.threads > MAX_THREADS:
+        raise ValidationError(f"--threads must be at most {MAX_THREADS}, got {args.threads}")
     cfg, scale = _experiment_config(args)
+    # named from every field that changes the results; floats by repr keep every digit
+    p, q1, q2 = cfg.dist.as_floats()
+    size = f"N{cfg.N}" if cfg.mode == "longest" else f"m{cfg.m}"
+    prefix = f"{cfg.mode}_p{p!r}_q1{q1!r}_q2{q2!r}_{size}_s{cfg.s}_seed{cfg.seed}"
+    if len(prefix) > 200:  # checked before the run: file names stop at 255 bytes
+        raise ValidationError("--seed, --N or --s is too long for the output file names")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     run = mc.run_longest_experiment if cfg.mode == "longest" else mc.run_hitting_experiment
@@ -261,10 +275,9 @@ def cmd_experiment(args) -> int:
     result = run(cfg, workers=args.threads)
     wall = time.perf_counter() - t0
 
-    prefix = f"{cfg.mode}_p{float(cfg.dist.p):g}_N{cfg.N}_s{cfg.s}"
     config = {"mode": cfg.mode, "p": args.p, "q1": args.q1, "q2": args.q2,
               "N": cfg.N, "s": cfg.s, "m": cfg.m, "seed": cfg.seed, "scale": scale}
-    meta = {**config, "m": cfg.m if cfg.m is not None else "",
+    meta = {**{k: "" if v is None else v for k, v in config.items()},
             "rng_scheme": mc.RNG_SCHEME_ID, "tool_version": __version__}
     emp_path = out_dir / f"{prefix}_empirical.csv"
     ref_path = out_dir / f"{prefix}_reference.csv"
@@ -327,12 +340,14 @@ def cmd_compare(args) -> int:
 
 # --- wiring ------------------------------------------------------------
 
+@functools.cache  # built once per process; main parses each argv with it
 def build_parser() -> _Parser:
     parser = _Parser(prog="contamruns",
                      description="At most 1+1 contaminated runs: formulas, oracles, experiments")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--seed", type=int, default=20240817, help="experiment master seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker pool size")
+    parser.add_argument("--threads", type=int, default=1,
+                        help=f"worker pool size, at most {MAX_THREADS}")
     parser.add_argument("--out", default="out", help="output directory for experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -350,7 +365,6 @@ def build_parser() -> _Parser:
     pa.add_argument("--N", type=int)
     pa.add_argument("--x", type=float)
     pa.add_argument("--k", type=int)
-    pa.add_argument("--eps", type=float)
     pa.set_defaults(fn=cmd_analytic)
 
     po = sub.add_parser("oracle", help="exact enumeration / DP oracles")

@@ -25,14 +25,16 @@ class FileFormatError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-def write_empirical_csv(path, empirical: EmpiricalDistribution, metadata: dict) -> None:
-    cum = empirical.cdf(empirical.support)
+def _write_csv(path, metadata: dict, header: str, rows) -> None:
+    """The `# key=value` lines, the header, then the rows (each ends in a newline)."""
     with open(path, "w", encoding="utf-8") as f:
-        for key, value in metadata.items():
-            f.write(f"# {key}={value}\n")
-        f.write("value,count,ecdf\n")
-        for x, w, c in zip(empirical.support.tolist(), empirical.weights.tolist(), cum.tolist()):
-            f.write(f"{x!r},{w},{c!r}\n")
+        f.writelines([*(f"# {key}={value}\n" for key, value in metadata.items()), header, *rows])
+
+
+def write_empirical_csv(path, empirical: EmpiricalDistribution, metadata: dict) -> None:
+    rows = zip(empirical.support.tolist(), empirical.weights.tolist(),
+               empirical.cdf(empirical.support).tolist())
+    _write_csv(path, metadata, "value,count,ecdf\n", (f"{x!r},{w},{c!r}\n" for x, w, c in rows))
 
 
 def read_empirical_csv(path) -> tuple[EmpiricalDistribution, dict]:
@@ -86,12 +88,8 @@ def read_empirical_csv(path) -> tuple[EmpiricalDistribution, dict]:
 
 
 def write_reference_csv(path, grid, cdf_values, metadata: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for key, value in metadata.items():
-            f.write(f"# {key}={value}\n")
-        f.write("value,cdf\n")
-        for x, c in zip(grid, cdf_values):
-            f.write(f"{x!r},{float(c)!r}\n")
+    _write_csv(path, metadata, "value,cdf\n",
+               (f"{x!r},{float(c)!r}\n" for x, c in zip(grid, cdf_values)))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ byte per trial in numpy uint8 arrays.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -71,6 +72,14 @@ class TrialDistribution:
         return TrialDistribution(self.p, self.q2, self.q1)
 
 
+def finite_float(x, name: str) -> float:
+    """float(x), refused past the double range (as an exact x derived from
+    a tiny q1, q2 or 1 - p can be) or when nan."""
+    if not abs(x) <= sys.float_info.max:
+        raise ValidationError(f"{name} is past the double range: q1, q2 or 1 - p is too small")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class DerivedConstants:
     """The five constants the closed forms are written in.
@@ -86,12 +95,23 @@ class DerivedConstants:
     C0: float | Fraction
     C1: float | Fraction
     C2: float | Fraction
-    K: float
+
+    @property
+    def K(self) -> float:
+        """Computed on use: only m(N) needs it, and it leaves the double range first."""
+        C0, C1, C2 = self.C0, self.C1, self.C2
+        try:
+            K = float(2 * C0 * C2 - C1 * C1 - C0 * C0) / (2 * self.C * float(C0) ** 2)
+        except (OverflowError, ZeroDivisionError):
+            K = math.inf
+        return finite_float(K, "K")
 
 
 def derive_constants(dist: TrialDistribution) -> DerivedConstants:
     p, q1, q2 = dist.p, dist.q1, dist.q2
-    C = math.log(1.0 / float(p))
+    C = math.log(1.0 / float(p)) if float(p) > 0 else math.inf
+    if not 0 < C < math.inf:
+        raise ValidationError(f"p is too close to 0 or 1 for C = ln(1/p) in doubles: {float(p)!r}")
     C0 = q1 + q2
     C1 = p * (q1 * q1 + q2 * q2) / (q1 * q2) - 1
     C2 = (
@@ -99,8 +119,7 @@ def derive_constants(dist: TrialDistribution) -> DerivedConstants:
         + p / (p - 1)
         + 2 * (2 * p + 1) * q1 * q2 / (p - 1) ** 3
     )
-    K = float(2 * C0 * C2 - C1 * C1 - C0 * C0) / (2 * C * float(C0) ** 2)
-    return DerivedConstants(C=C, C0=C0, C1=C1, C2=C2, K=K)
+    return DerivedConstants(C=C, C0=C0, C1=C1, C2=C2)
 
 
 def is_window_valid(window) -> bool:

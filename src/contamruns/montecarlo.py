@@ -58,7 +58,7 @@ def simulate_sequence(dist: TrialDistribution, N: int, stream_seed: int) -> np.n
 @dataclass(frozen=True)
 class ExperimentConfig:
     dist: TrialDistribution
-    N: int
+    N: Optional[int]  # sequence length; longest mode only, hitting runs are unbounded
     s: int
     seed: int
     mode: str  # 'longest' | 'hitting'
@@ -67,8 +67,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("longest", "hitting"):
             raise ValidationError(f"mode must be 'longest' or 'hitting', got {self.mode!r}")
-        if self.N < 1 or self.s < 1:
+        if self.mode == "longest" and self.N is None:
+            raise ValidationError("longest mode requires a sequence length N")
+        if (self.N is not None and self.N < 1) or self.s < 1:
             raise ValidationError(f"need N >= 1 and s >= 1, got N={self.N}, s={self.s}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.mode == "hitting" and (self.m is None or self.m < 1):
             raise ValidationError("hitting mode requires a window length m >= 1")
 

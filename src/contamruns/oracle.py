@@ -154,8 +154,10 @@ def longest_cdf_by_enumeration(dist: TrialDistribution, N: int, m: int):
 # Cost model of dp_longest_cdf, in word operations of 1-3 ns each.
 # Measured with numpy on a 2-vCPU x86-64 VM:
 # * building the chain takes 3.5-6 us per state (m = 10..80);
-# * a float step takes 3-5 us of numpy call overhead (at S = 4, m = 2)
-#   plus 8-13 ns per state (S = 2680..170720);
+# * a float step, one product weights @ f[succ], takes 3-5 us of numpy
+#   call overhead (at S = 4..340, m = 2..10) plus 4.5-8 ns per state
+#   (S = 2680..170720) on one OpenBLAS thread; OpenBLAS may thread the
+#   product at S ~ 1e5, and then a step at m = 80 took 1.3-8 ms;
 # * an exact step does three Python-int products per state, each ~45 ns
 #   plus ~4 ns per pair of 64-bit words multiplied; f grows to about
 #   N log2(d) bits and a weight has up to log2(d) bits.  With d = 3 the
@@ -218,29 +220,31 @@ def dp_longest_cdf(dist: TrialDistribution, N: int, m: int, mode: str = "float",
     """Exact P(mu(N) < m) = P(tau_m > N) by backward recursion on the minimal chain.
 
     f_k(s) = P(no valid m-window within k more trials from state s), so
-    f_{k+1}(s) = p f_k(succ0(s)) + q1 f_k(succ1(s)) + q2 f_k(succ2(s))
-    with f = 0 on the absorbing state, and the answer is f_N(0).  Exact
-    mode on a Fraction distribution runs in integers: the weights are
-    put over their common denominator d and the result is divided by
-    d^N once.  Otherwise the same loop runs in float64; f(0) is the
-    largest entry, and f is lifted by a power of two whenever f(0)
-    drops below 2^-LIFT_BITS, so nothing underflows before the final
-    ldexp.  The cost (see :func:`_dp_work`) is checked against `budget`
-    before the chain is built.
+    f_{k+1}(s) = p f_k(succ0(s)) + q1 f_k(succ1(s)) + q2 f_k(succ2(s)),
+    one product weights @ f[succ] per step, with f = 0 on the absorbing
+    state; the answer is f_N(0).  Exact mode on a Fraction distribution
+    runs in integers: the weights are put over their common denominator
+    d and the result is divided by d^N once.  Otherwise the same loop
+    runs in float64; f(0) is the largest entry, and f is lifted by a
+    power of two whenever f(0) drops below 2^-LIFT_BITS, so nothing
+    underflows before the final ldexp.  The cost (see :func:`_dp_work`)
+    is checked against `budget` before the chain is built.
     """
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
     check_window_length(m, 1)
     if mode not in ("float", "exact"):
         raise ValidationError(f"mode must be 'float' or 'exact', got {mode!r}")
+    if budget is not None and math.isnan(budget):  # work > nan is always false
+        raise ValidationError("budget must be a number (inf forces the run), got nan")
     exact = mode == "exact" and dist.is_exact
     if N < m:  # no m-window fits
         return Fraction(1) if exact else 1.0
     if exact:
         d = math.lcm(dist.p.denominator, dist.q1.denominator, dist.q2.denominator)
-        weights = [int(x * d) for x in (dist.p, dist.q1, dist.q2)]
+        weights = np.array([int(x * d) for x in (dist.p, dist.q1, dist.q2)], dtype=object)
     else:
-        weights = dist.as_floats()
+        weights = np.array(dist.as_floats())
     work = _dp_work(N, m, d.bit_length() if exact else None)
     if budget is not None and work > budget:
         raise SizeError(
@@ -251,10 +255,9 @@ def dp_longest_cdf(dist: TrialDistribution, N: int, m: int, mode: str = "float",
     S = succ.shape[1]
     f = np.ones(S + 1, dtype=object if exact else np.float64)
     f[S] = 0
-    (w0, w1, w2), (s0, s1, s2) = weights, succ
     lifted = 0
     for _ in range(N):
-        f[:S] = w0 * f[s0] + w1 * f[s1] + w2 * f[s2]
+        f[:S] = weights @ f[succ]
         if not exact and f[0] < _LIFT_BELOW:
             f *= 2.0 ** LIFT_BITS
             lifted += LIFT_BITS

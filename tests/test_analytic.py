@@ -14,7 +14,6 @@ from contamruns.analytic import (
     cfk_condition_check,
     conditional_survival,
     exponent_l,
-    h_function,
     h_function_terms,
     joint_survival_aggregated,
     joint_survival_casewise,
@@ -44,14 +43,6 @@ def test_window_probability_trivial_window():
 
 def test_window_probability_known_value():
     assert window_probability(THIRDS, 3) == Fraction(13, 27)
-
-
-def test_window_probability_real_m_interpolates():
-    exact = float(window_probability(THIRDS, 5))
-    assert window_probability(THIRDS, 5.0) == pytest.approx(exact, rel=1e-12)
-    between = window_probability(THIRDS, 4.5)
-    assert float(window_probability(THIRDS, 5)) < between < float(
-        window_probability(THIRDS, 4))
 
 
 def test_window_probability_rejects_short_windows():
@@ -235,15 +226,15 @@ def test_m_of_n_rejects_small_n():
 
 
 def test_h_function_frozen_values():
-    assert h_function(THIRDS, N_FIG1, 0.0) == 0.0
-    assert h_function(THIRDS, N_FIG1, 0.5) == pytest.approx(
+    assert h_function_terms(THIRDS, N_FIG1, 0.0).total == 0.0
+    assert h_function_terms(THIRDS, N_FIG1, 0.5).total == pytest.approx(
         -0.45060181884823843, rel=1e-12)
     assert len(h_function_terms(THIRDS, N_FIG1, 1.0).terms) == 8
 
 
 def test_h_function_approaches_minus_x():
     # all corrections vanish as N grows; H(1) -> -1
-    assert abs(h_function(THIRDS, 3 ** 60, 1.0) + 1.0) < 0.05
+    assert abs(h_function_terms(THIRDS, 3 ** 60, 1.0).total + 1.0) < 0.05
 
 
 def test_accompanying_cdf_frozen_values():

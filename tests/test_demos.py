@@ -10,6 +10,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name,expected", [("01_closed_forms.py", "13/27"),
+                                           ("02_limit_theorems.py",
+                                            "H(0.5) at N=3000000: -0.450601819"),
                                            ("03_experiments.py", "identical output: True")])
 def test_demo_runs(name, expected, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -1,5 +1,6 @@
 """File formats and the command-line surface."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from contamruns.cli import (
     EXIT_IO,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    build_parser,
     main,
 )
 from contamruns.files import (
@@ -367,3 +369,107 @@ def test_bounds_upper_is_capped_at_one(capsys, m, N):
     assert code == 0
     payload = json.loads(out)
     assert payload["upper"] == 1.0 and 0 <= payload["lower"] < 1
+
+
+# --- inputs past the double range, the DP budget, the thread cap ----------------
+
+BIG = str(10 ** 350)
+TINY_Q2_ARGS = ("--p", "1/2", "--q1", "0.5", "--q2", "1e-300")
+
+
+@pytest.mark.parametrize("argv,names", [
+    (("accompanying", *THIRDS_ARGS, "--N", "100000", "--k", BIG), "k"),
+    (("accompanying", *THIRDS_ARGS, "--N", "100000", "--k", "-" + BIG), "k"),
+    (("bounds", *THIRDS_ARGS, "--m", "10", "--N", BIG), "N"),
+    (("H", *THIRDS_ARGS, "--N", "100000", "--x", "1e308"), "x"),
+    (("H", *THIRDS_ARGS, "--N", "100000", "--x", "inf"), "x"),
+    (("constants", *TINY_Q2_ARGS), "q2"),   # K ~ -1e600
+    (("mN", *TINY_Q2_ARGS, "--N", "1000"), "q2"),
+])
+def test_out_of_range_inputs_are_refused_by_name(capsys, argv, names):
+    code, _, err = run_cli(capsys, "analytic", *argv)
+    assert code == EXIT_VALIDATION and names in err
+
+
+def test_huge_n_and_tiny_probabilities_give_finite_values(capsys):
+    def value(*argv):
+        code, out, err = run_cli(capsys, "--json", "analytic", *argv)
+        assert code == 0, err
+        return json.loads(out)
+
+    # m(N) = log N + 2 loglog N + O(loglog N / log N), logs base 3; log N = 733.57
+    lN = math.log(10 ** 350, 3)
+    assert value("mN", *THIRDS_ARGS, "--N", BIG)["total"] == pytest.approx(
+        lN + 2 * math.log(lN, 3), abs=0.05)
+    assert math.isfinite(value("H", *THIRDS_ARGS, "--N", BIG, "--x", "0.5")["total"])
+    assert 0 < value("accompanying", *THIRDS_ARGS, "--N", BIG, "--k", "2")["cdf"] < 1
+    # alpha needs no K: both its parts are near 1e298, their quotient 4/11
+    alpha = value("alpha", *TINY_Q2_ARGS, "--m", "10")
+    assert alpha["alpha"] == pytest.approx(4 / 11, rel=1e-12)
+    assert alpha["numerator"] == pytest.approx(2e299 / 9, rel=1e-12)
+    bounds = value("bounds", *TINY_Q2_ARGS, "--m", "10", "--N", "1000")
+    assert 0 < bounds["lower"] <= bounds["upper"] <= 1
+
+
+def test_nan_budget_is_refused(capsys):
+    code, _, err = run_cli(capsys, "oracle", "longest-cdf", *THIRDS_ARGS,
+                           "--N", "20", "--m", "5", "--budget", "nan")
+    assert code == EXIT_VALIDATION and "budget" in err
+    code, _, _ = run_cli(capsys, "oracle", "longest-cdf", *THIRDS_ARGS,
+                         "--N", "20", "--m", "5", "--budget", "inf")
+    assert code == 0
+
+
+def test_thread_count_is_capped_before_any_thread_starts(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "--threads", "1000000", "--out", str(tmp_path),
+                           "experiment", *THIRDS_ARGS, "--N", "200", "--s", "2")
+    assert code == EXIT_VALIDATION and "--threads" in err
+    assert list(tmp_path.iterdir()) == []
+    code, _, _ = run_cli(capsys, "--threads", "8", "--out", str(tmp_path),
+                         "experiment", *THIRDS_ARGS, "--N", "200", "--s", "2")
+    assert code == 0
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+# --- output names -----------------------------------------------------------------
+
+@pytest.mark.parametrize("first,second", [
+    (("experiment", "--mode", "hitting", *THIRDS_ARGS, "--s", "5", "--m", "5"),
+     ("experiment", "--mode", "hitting", *THIRDS_ARGS, "--s", "5", "--m", "6")),
+    (("experiment", "--p", "0.5", "--q1", "0.3", "--q2", "0.2", "--N", "2000", "--s", "5"),
+     ("experiment", "--p", "0.5", "--q1", "0.25", "--q2", "0.25", "--N", "2000", "--s", "5")),
+    (("--seed", "1", "experiment", *THIRDS_ARGS, "--N", "2000", "--s", "5"),
+     ("--seed", "2", "experiment", *THIRDS_ARGS, "--N", "2000", "--s", "5")),
+])
+def test_runs_that_differ_in_results_write_different_files(capsys, tmp_path, first, second):
+    outputs = []
+    for argv in (first, second):
+        code, out, _ = run_cli(capsys, "--json", "--out", str(tmp_path), *argv)
+        assert code == 0
+        outputs.append(json.loads(out)["outputs"])
+    assert len(list(tmp_path.iterdir())) == 8
+    assert all(outputs[0][name] != outputs[1][name] for name in outputs[0])
+
+
+def test_names_past_the_file_name_limit_are_refused_before_the_run(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "--seed", str(10 ** 250), "--out", str(tmp_path),
+                           "experiment", *THIRDS_ARGS, "--N", "2000", "--s", "5")
+    assert code == EXIT_VALIDATION and "--seed" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_hitting_experiment_needs_no_n(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "--json", "--out", str(tmp_path), "experiment",
+                           "--mode", "hitting", *THIRDS_ARGS, "--s", "5", "--m", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert read_manifest(payload["manifest"]).config["N"] is None
+    _, meta = read_empirical_csv(payload["outputs"]["empirical"])
+    assert meta["N"] == "" and meta["m"] == "5"
+    # the longest-run law needs N
+    code, _, err = run_cli(capsys, "--out", str(tmp_path), "experiment", *THIRDS_ARGS,
+                           "--s", "5")
+    assert code == EXIT_USAGE and "--N" in err

@@ -1,4 +1,5 @@
 """Enumeration and DP oracles: internal consistency and exactness."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,13 @@ def test_dp_budget_refusal():
         dp_longest_cdf(tiny, 200, 10, mode="exact")
     # the exact (N=2000, m=12) case stays accepted
     assert 0 < dp_longest_cdf(THIRDS, 2000, 12, mode="exact") < 1
+
+
+def test_dp_refuses_a_nan_budget():
+    # work > nan is false, so a nan budget would admit a run of any size
+    with pytest.raises(ValidationError, match="budget"):
+        dp_longest_cdf(THIRDS, 20, 5, budget=math.nan)
+    assert 0 < dp_longest_cdf(THIRDS, 20, 5, budget=math.inf) < 1
 
 
 def test_dp_float_does_not_underflow():
