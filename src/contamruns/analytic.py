@@ -211,9 +211,9 @@ def cfk_bounds(alpha: float, eps: float, N: int, m: int, pA1: float) -> tuple[fl
 
 def theorem1_limit_cdf(x: float) -> float:
     """Limiting CDF of tau_m * alpha * P(A1): standard exponential."""
-    if x < 0:
-        return 0.0
-    return -math.expm1(-x)
+    if math.isnan(x):
+        raise ValidationError("x must be a number, got nan")
+    return -math.expm1(-x) if x >= 0 else 0.0
 
 
 def _check_logs(dist: TrialDistribution, N: int) -> tuple[float, float, DerivedConstants]:

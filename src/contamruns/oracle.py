@@ -59,13 +59,7 @@ def enumerate_event(dist: TrialDistribution, n: int,
 
 def _all_sequences(n: int) -> np.ndarray:
     """All 3^n sequences as rows of a (3^n, n) uint8 array."""
-    rows = 3 ** n
-    idx = np.arange(rows, dtype=np.int64)
-    out = np.empty((rows, n), dtype=np.uint8)
-    for t in range(n - 1, -1, -1):
-        out[:, t] = idx % 3
-        idx //= 3
-    return out
+    return np.indices((3,) * n, dtype=np.uint8).reshape(n, -1).T
 
 
 def _suffix_length_columns(codes: np.ndarray):
@@ -153,7 +147,7 @@ def longest_cdf_by_enumeration(dist: TrialDistribution, N: int, m: int):
 
 # Cost model of dp_longest_cdf, in word operations of 1-3 ns each.
 # Measured with numpy on a 2-vCPU x86-64 VM:
-# * building the chain takes 3.5-6 us per state (m = 10..80);
+# * building the chain takes ~0.5 ms at m = 10, 0.12-0.18 us per state at m = 40..120;
 # * a float step, one product weights @ f[succ], takes 3-5 us of numpy
 #   call overhead (at S = 4..340, m = 2..10) plus 4.5-8 ns per state
 #   (S = 2680..170720) on one OpenBLAS thread; OpenBLAS may thread the
@@ -162,7 +156,7 @@ def longest_cdf_by_enumeration(dist: TrialDistribution, N: int, m: int):
 #   plus ~4 ns per pair of 64-bit words multiplied; f grows to about
 #   N log2(d) bits and a weight has up to log2(d) bits.  With d = 3 the
 #   model gives 2.5-3.3 ns per counted operation, with a 998-bit d 0.9-1.1.
-BUILD_COST = 2000          # per chain state
+BUILD_COST = 100           # per chain state
 STEP_COST = 2000           # per step, either mode
 EXACT_PRODUCT_COST = 15    # per big-integer product, besides its words
 LIFT_BITS = 600            # float mode: f is lifted by 2^600 when f(0) < 2^-600
@@ -190,29 +184,21 @@ def _dp_chain(m: int) -> np.ndarray:
 
     A state is (L, a, b): the suffix length L and the gaps a, b to the
     most recent type-I and type-II failures, each capped at L (a gap of
-    L means no failure of that type inside the suffix).  States are
-    numbered breadth-first from (0, 0, 0); every state with L >= m (a
-    valid m-window has ended) maps to the one absorbing index S.
+    L means no failure of that type inside the suffix).  The states are
+    L < m, a, b <= L and a != b unless a = b = L, numbered in (L, a, b)
+    order from (0, 0, 0); every successor with L = m (a valid m-window
+    has ended) is the one absorbing index S.
     """
-    index = {(0, 0, 0): 0}
-    states = [(0, 0, 0)]
-    succ = []
-    for L, a, b in states:  # the list grows as new states are reached
-        L1, a1, b1 = L + 1, min(a + 1, L + 1), min(b + 1, L + 1)
-        row = []
-        # successors on a success, a type-I and a type-II failure (Outcome order)
-        for nxt in ((L1, a1, b1), (a1, 0, min(a1, b1)), (b1, min(a1, b1), 0)):
-            if nxt[0] >= m:
-                row.append(-1)
-                continue
-            if nxt not in index:
-                index[nxt] = len(states)
-                states.append(nxt)
-            row.append(index[nxt])
-        succ.append(row)
-    table = np.array(succ, dtype=np.intp).T
-    table[table < 0] = len(states)
-    return table
+    L, a, b = np.indices((m + 1,) * 3, dtype=np.int32)
+    state = (L < m) & (a <= L) & (b <= L) & ((a != b) | (a == L))
+    S = int(state.sum())
+    lookup = np.full(state.shape, S + 1, dtype=np.intp)  # past f: reading a non-state raises
+    lookup[m] = S
+    lookup[state] = np.arange(S)
+    # successors on a success, a type-I and a type-II failure (Outcome order)
+    L1, a1, b1 = L[state] + 1, a[state] + 1, b[state] + 1
+    c1 = np.minimum(a1, b1)
+    return np.stack([lookup[L1, a1, b1], lookup[a1, 0, c1], lookup[b1, c1, 0]])
 
 
 def dp_longest_cdf(dist: TrialDistribution, N: int, m: int, mode: str = "float",
@@ -252,12 +238,11 @@ def dp_longest_cdf(dist: TrialDistribution, N: int, m: int, mode: str = "float",
             f"raise `budget` to force the run"
         )
     succ = _dp_chain(m)
-    S = succ.shape[1]
-    f = np.ones(S + 1, dtype=object if exact else np.float64)
-    f[S] = 0
+    f = np.ones(succ.shape[1] + 1, dtype=object if exact else np.float64)
+    f[-1] = 0  # the absorbing state
     lifted = 0
     for _ in range(N):
-        f[:S] = weights @ f[succ]
+        f[:-1] = weights @ f[succ]
         if not exact and f[0] < _LIFT_BELOW:
             f *= 2.0 ** LIFT_BITS
             lifted += LIFT_BITS

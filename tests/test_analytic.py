@@ -198,6 +198,13 @@ def test_theorem1_limit_cdf():
     assert theorem1_limit_cdf(50.0) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_theorem1_limit_cdf_refuses_nan():
+    with pytest.raises(ValidationError, match="x"):
+        theorem1_limit_cdf(math.nan)
+    assert theorem1_limit_cdf(math.inf) == 1.0
+    assert theorem1_limit_cdf(-math.inf) == 0.0
+
+
 # --- m(N), H, accompanying CDF: frozen high-precision values ---------------
 
 N_FIG1 = 3_000_000

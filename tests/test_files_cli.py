@@ -121,6 +121,14 @@ def test_analytic_theorem1(capsys):
     assert json.loads(out)["cdf"] == pytest.approx(0.5, abs=1e-6)
 
 
+def test_analytic_theorem1_refuses_nan(capsys):
+    code, _, err = run_cli(capsys, "analytic", "theorem1", "--x", "nan")
+    assert code == EXIT_VALIDATION
+    assert "x must be a number" in err
+    code, out, _ = run_cli(capsys, "analytic", "theorem1", "--x", "inf")
+    assert code == 0 and out.strip().endswith("-> 1.0")
+
+
 def test_json_and_human_values_agree(capsys):
     _, human, _ = run_cli(capsys, "analytic", "alpha",
                           "--p", "1/3", "--q1", "1/3", "--q2", "1/3", "--m", "10")

@@ -2,11 +2,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from contamruns.model import TrialDistribution, ValidationError, is_window_valid
 from contamruns.oracle import (
     SizeError,
+    _all_sequences,
     _dp_chain,
     dp_longest_cdf,
     enumerate_conditional,
@@ -174,6 +176,31 @@ def test_dp_chain_is_minimal_size():
     # would put both failure types at one position
     for m in range(2, 26):
         assert _dp_chain(m).shape[1] == m * (m + 1) * (2 * m + 1) // 6 - m * (m - 1) // 2
+
+
+def test_all_sequences_rows_are_base3_digits():
+    # row i holds the base-3 digits of i, most significant first
+    for n in (1, 3, 7):
+        codes = _all_sequences(n)
+        assert codes.shape == (3 ** n, n) and codes.dtype == np.uint8
+        assert (codes.astype(np.int64) @ 3 ** np.arange(n - 1, -1, -1) == np.arange(3 ** n)).all()
+
+
+def test_dp_chain_is_closed_and_reachable():
+    # a state formula is not closed or connected by construction: every
+    # successor must be a state or the absorbing index S, and a walk from
+    # (0, 0, 0) must reach all S states
+    for m in range(1, 26):
+        succ = _dp_chain(m)
+        S = succ.shape[1]
+        assert 0 <= succ.min() and succ.max() <= S
+        reached = np.zeros(S + 1, dtype=bool)
+        frontier = np.array([0])
+        while frontier.size:
+            reached[frontier] = True
+            nxt = np.unique(succ[:, frontier])
+            frontier = nxt[(nxt < S) & ~reached[nxt]]
+        assert reached[:S].all(), m
 
 
 def test_dp_rejects_bad_mode():
