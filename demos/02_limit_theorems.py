@@ -47,7 +47,7 @@ N_small = 100_000
 center = m_of_n(thirds, N_small).integer_part
 print(f"\nexact DP vs accompanying CDF at N={N_small}:")
 for k in (-1, 0, 1, 2):
-    exact = dp_longest_cdf(thirds, N_small, center + k, mode="float", budget=None)
+    exact = dp_longest_cdf(thirds, N_small, center + k, mode="float", budget=math.inf)
     approx = accompanying_cdf(thirds, N_small, k)
     print(f"  k={k:+d}: DP {exact:.6f}   accompanying {approx:.6f}")
 

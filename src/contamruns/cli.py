@@ -78,6 +78,15 @@ def _require(args, *names):
             raise UsageError(f"--{name} is required for this query")
 
 
+def _fill_unset(args, pairs) -> None:
+    """Default each flag of the (name, value) pairs: set it to the value
+    only while it is unset and the value is not empty, so a flag given on
+    the command line always wins and an empty value counts as missing."""
+    for name, value in pairs:
+        if getattr(args, name) is None and value not in (None, ""):
+            setattr(args, name, value)
+
+
 def _dist(args) -> TrialDistribution:
     _require(args, "p", "q1", "q2")
     return TrialDistribution(parse_prob(args.p), parse_prob(args.q1), parse_prob(args.q2))
@@ -211,16 +220,9 @@ def cmd_oracle(args) -> int:
 
 def _experiment_config(args) -> tuple[mc.ExperimentConfig, float]:
     if args.figure is not None:
-        if args.figure not in FIGURE_PRESETS:
-            raise UsageError(f"--figure must be in 1..8, got {args.figure}")
-        p, q1, q2, N, s, m = FIGURE_PRESETS[args.figure]
-        args.p, args.q1, args.q2 = p, q1, q2
-        N = args.N if args.N is not None else N
-        s = args.s if args.s is not None else s
-        m = args.m if args.m is not None else m
-    else:
-        _require(args, "s", *(["N"] if args.mode == "longest" else []))
-        N, s, m = args.N, args.s, args.m
+        _fill_unset(args, zip(("p", "q1", "q2", "N", "s", "m"), FIGURE_PRESETS[args.figure]))
+    _require(args, "s", "N" if args.mode == "longest" else "m")
+    N, s = args.N, args.s
     scale = args.scale
     if scale is not None:
         if not (0 < scale <= 1):
@@ -228,10 +230,8 @@ def _experiment_config(args) -> tuple[mc.ExperimentConfig, float]:
         # exact products: an int N past the double range does not overflow
         N = None if N is None else max(1, round(N * Fraction(scale)))
         s = max(1, round(s * Fraction(scale)))
-    if args.mode == "hitting" and m is None:
-        raise UsageError("hitting mode requires --m (or a --figure preset)")
     cfg = mc.ExperimentConfig(dist=_dist(args), N=N, s=s, seed=args.seed,
-                              mode=args.mode, m=m if args.mode == "hitting" else None)
+                              mode=args.mode, m=args.m if args.mode == "hitting" else None)
     return cfg, (scale if scale is not None else 1.0)
 
 
@@ -317,9 +317,7 @@ def cmd_compare(args) -> int:
     ref_name = args.ref if args.ref is not None else _law_for(meta.get("mode"))
     dist = N = None
     if ref_name == "accompanying":
-        for name in ("p", "q1", "q2", "N"):  # flags first, then the CSV's metadata
-            if getattr(args, name) is None:
-                setattr(args, name, meta.get(name))
+        _fill_unset(args, ((name, meta.get(name)) for name in ("p", "q1", "q2", "N")))
         dist = _dist(args)
         _require(args, "N")
         try:
@@ -378,7 +376,8 @@ def build_parser() -> _Parser:
 
     pe = sub.add_parser("experiment", help="run a Monte Carlo experiment")
     add_dist(pe)
-    pe.add_argument("--figure", type=int, help="figure preset 1..8")
+    pe.add_argument("--figure", type=int, choices=sorted(FIGURE_PRESETS),
+                    help="figure preset 1..8; flags override its fields")
     pe.add_argument("--mode", choices=["longest", "hitting"], default="longest")
     pe.add_argument("--N", type=int)
     pe.add_argument("--s", type=int)

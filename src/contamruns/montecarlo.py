@@ -100,16 +100,13 @@ class EmpiricalDistribution:
         return cls(support=support, weights=counts.astype(np.int64), total=int(len(values)))
 
     def cdf(self, x):
-        """Empirical P(value <= x), for a scalar (a float) or an array of points.
+        """Empirical P(value <= x) at each point of x (a scalar gives a float64).
 
         One lookup in the cumulative integer counts; the division by the
         total comes last, so each value is the same double as count / total.
         """
         counts = np.concatenate(([0], np.cumsum(self.weights)))
-        below = counts[np.searchsorted(self.support, x, side="right")]
-        if np.ndim(below) == 0:
-            return int(below) / self.total
-        return below / self.total
+        return counts[np.searchsorted(self.support, x, side="right")] / self.total
 
 
 @dataclass(frozen=True)
@@ -209,15 +206,16 @@ def sup_distance_step(a: EmpiricalDistribution, b: EmpiricalDistribution) -> flo
 
 def sup_distance_lattice(empirical: EmpiricalDistribution,
                          reference_cdf_below: Callable[[int], float]) -> float:
-    """Sup distance for integer-valued samples against a lattice law.
+    """Sup distance against a law on the integers, given as P(value < k).
 
-    Both step functions jump only at integers, so the supremum over the
-    real line is attained on the grid: max over integer k of
-    |empirical P(value < k) - reference P(value < k)|.
+    The ECDF jumps at its support and the reference at integers, so the
+    supremum over the real line is attained on the union of the support
+    and the integers floor(min) - 1 .. floor(max); the reference at x is
+    P(value < floor(x) + 1).
     """
     if empirical.total == 0:
         raise ValidationError("empirical distribution must be non-empty")
-    ks = np.arange(int(empirical.support.min()), int(empirical.support.max()) + 2)
-    emp_below = empirical.cdf(ks - 1)  # P(value <= k-1) = P(value < k)
-    ref_below = np.array([reference_cdf_below(int(k)) for k in ks], dtype=np.float64)
-    return float(np.max(np.abs(emp_below - ref_below)))
+    lo, hi = math.floor(empirical.support[0]), math.floor(empirical.support[-1])
+    grid = np.union1d(empirical.support, np.arange(lo - 1, hi + 1))
+    ref = np.array([reference_cdf_below(math.floor(x) + 1) for x in grid], dtype=np.float64)
+    return float(np.max(np.abs(empirical.cdf(grid) - ref)))

@@ -221,7 +221,7 @@ def dp_longest_cdf(dist: TrialDistribution, N: int, m: int, mode: str = "float",
     check_window_length(m, 1)
     if mode not in ("float", "exact"):
         raise ValidationError(f"mode must be 'float' or 'exact', got {mode!r}")
-    if budget is not None and math.isnan(budget):  # work > nan is always false
+    if math.isnan(budget):  # work > nan is always false
         raise ValidationError("budget must be a number (inf forces the run), got nan")
     exact = mode == "exact" and dist.is_exact
     if N < m:  # no m-window fits
@@ -232,7 +232,7 @@ def dp_longest_cdf(dist: TrialDistribution, N: int, m: int, mode: str = "float",
     else:
         weights = np.array(dist.as_floats())
     work = _dp_work(N, m, d.bit_length() if exact else None)
-    if budget is not None and work > budget:
+    if work > budget:
         raise SizeError(
             f"DP needs ~{_sci(work)} word operations (> budget {_sci(budget)}); "
             f"raise `budget` to force the run"

@@ -481,3 +481,51 @@ def test_hitting_experiment_needs_no_n(capsys, tmp_path):
     code, _, err = run_cli(capsys, "--out", str(tmp_path), "experiment", *THIRDS_ARGS,
                            "--s", "5")
     assert code == EXIT_USAGE and "--N" in err
+
+
+# --- where a missing input comes from: flags first, then presets or metadata -------
+
+def test_flags_override_the_figure_preset(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "--json", "--out", str(tmp_path), "experiment",
+                           "--figure", "1", "--scale", "0.001",
+                           "--p", "0.5", "--q1", "0.3", "--q2", "0.2")
+    assert code == 0
+    name = "longest_p0.5_q10.3_q20.2_N3000_s3_seed20240817_empirical.csv"
+    assert json.loads(out)["outputs"]["empirical"] == str(tmp_path / name)
+    # the preset fills only what the flags leave unset
+    code, out, _ = run_cli(capsys, "--json", "--out", str(tmp_path), "experiment",
+                           "--mode", "hitting", "--figure", "1", "--scale", "0.001", "--m", "12")
+    assert code == 0
+    config = read_manifest(json.loads(out)["manifest"]).config
+    assert (config["p"], config["m"], config["s"]) == ("1/3", 12, 3)
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("--figure", "9", "--scale", "0.001"), "--figure"),
+    (("--mode", "hitting", *THIRDS_ARGS, "--s", "5"), "--m"),
+])
+def test_missing_or_unknown_experiment_inputs_are_usage_errors(capsys, tmp_path, argv, name):
+    code, _, err = run_cli(capsys, "--out", str(tmp_path), "experiment", *argv)
+    assert code == EXIT_USAGE and name in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_metadata_counts_as_missing(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "--json", "--out", str(tmp_path), "experiment",
+                           "--mode", "hitting", *THIRDS_ARGS, "--s", "5", "--m", "5")
+    assert code == 0
+    emp = json.loads(out)["outputs"]["empirical"]
+    assert read_empirical_csv(emp)[1]["N"] == ""
+    code, _, err = run_cli(capsys, "compare", emp, "--ref", "accompanying")
+    assert code == EXIT_USAGE and "--N" in err
+    code, _, _ = run_cli(capsys, "compare", emp, "--ref", "accompanying", "--N", "100")
+    assert code == 0
+
+
+def test_compare_sees_a_lattice_gap_between_integers(capsys, tmp_path):
+    path = tmp_path / "half.csv"
+    path.write_text("value,count,ecdf\n-0.5,1,1.0\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "compare", str(path), "--ref", "accompanying",
+                           *THIRDS_ARGS, "--N", "100")
+    assert code == 0
+    assert out.splitlines()[0] == "sup-distance vs accompanying: 0.773835"

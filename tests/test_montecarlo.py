@@ -104,7 +104,7 @@ def test_hitting_scaled_values_positive():
 def test_empirical_longest_law_matches_dp():
     N, m, s = 200, 6, 100_000
     cfg = ExperimentConfig(dist=THIRDS, N=N, s=s, seed=17, mode="longest")
-    emp = run_longest_experiment(cfg, workers=8).empirical
+    emp = run_longest_experiment(cfg).empirical
     exact = float(dp_longest_cdf(THIRDS, N, m))
     center = m_of_n(THIRDS, N).integer_part
     observed = emp.cdf(m - center - 1)  # P(mu < m) = P(offset <= m - center - 1)
@@ -153,6 +153,11 @@ def test_sup_distance_lattice_agrees_with_exact_law():
     assert sup_distance_lattice(emp, ref) == 0.0
     shifted = lambda k: emp.cdf(k)
     assert sup_distance_lattice(emp, shifted) == pytest.approx(0.5)
+    # the ECDF of a non-integer sample jumps between integers: at -0.5
+    # the reference is still P(value < 0)
+    half = EmpiricalDistribution.from_samples([-0.5])
+    below = lambda k: 0.0 if k < 0 else 0.25 if k == 0 else 1.0
+    assert sup_distance_lattice(half, below) == 0.75
 
 
 def test_sup_distance_rejects_empty():
@@ -173,6 +178,15 @@ def _cdf_by_sum(emp, x):
 def _step_by_points(a, b):
     grid = np.union1d(a.support, b.support)
     return float(max(abs(_cdf_by_sum(a, float(x)) - _cdf_by_sum(b, float(x))) for x in grid))
+
+
+def _lattice_by_brute_force(emp, below):
+    """Sup over the support, the integers around it and the midpoints between
+    them, with the lattice reference P(value <= x) = below(floor(x) + 1)."""
+    lo, hi = math.floor(emp.support.min()), math.floor(emp.support.max())
+    points = sorted({*map(float, emp.support), *map(float, range(lo - 2, hi + 3))})
+    points += [(x + y) / 2 for x, y in zip(points, points[1:])]
+    return max(abs(_cdf_by_sum(emp, x) - below(math.floor(x) + 1)) for x in points)
 
 
 def _lattice_by_points(emp, below):
@@ -200,7 +214,8 @@ def test_array_forms_equal_per_point_definitions(xs, ys, points):
         assert scalar == v == _cdf_by_sum(a, float(x))
     assert sup_distance_step(a, b) == _step_by_points(a, b)
     assert sup_distance_step(a, a) == 0.0
+    below = lambda k: _cdf_by_sum(b, k - 1)
+    assert sup_distance_lattice(a, below) == _lattice_by_brute_force(a, below)
     if np.issubdtype(a.support.dtype, np.integer):
-        below = lambda k: _cdf_by_sum(b, k - 1)
         assert sup_distance_lattice(a, below) == _lattice_by_points(a, below)
         assert sup_distance_lattice(a, lambda k: _cdf_by_sum(a, k - 1)) == 0.0
