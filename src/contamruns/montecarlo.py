@@ -208,14 +208,16 @@ def sup_distance_lattice(empirical: EmpiricalDistribution,
                          reference_cdf_below: Callable[[int], float]) -> float:
     """Sup distance against a law on the integers, given as P(value < k).
 
-    The ECDF jumps at its support and the reference at integers, so the
-    supremum over the real line is attained on the union of the support
-    and the integers floor(min) - 1 .. floor(max); the reference at x is
-    P(value < floor(x) + 1).
+    The ECDF jumps at its support and the reference at integers; the
+    reference at x is P(value < floor(x) + 1).  Between two support
+    points the ECDF is constant and the reference nondecreasing, so the
+    supremum over the real line is attained on the support and the
+    integers floor(x) - 1 and floor(x) of each support point x: at most
+    three reference calls per support point, whatever the value range.
     """
     if empirical.total == 0:
         raise ValidationError("empirical distribution must be non-empty")
-    lo, hi = math.floor(empirical.support[0]), math.floor(empirical.support[-1])
-    grid = np.union1d(empirical.support, np.arange(lo - 1, hi + 1))
+    floors = empirical.support // 1  # in the support's dtype
+    grid = np.union1d(empirical.support, np.concatenate((floors - 1, floors)))
     ref = np.array([reference_cdf_below(math.floor(x) + 1) for x in grid], dtype=np.float64)
     return float(np.max(np.abs(empirical.cdf(grid) - ref)))

@@ -9,7 +9,10 @@ Two independent routes:
   length and the gaps to the last failure of each type capped at L,
   about m^3/3 of them.  One backward recursion serves both backends:
   Python integers over the common denominator of (p, q1, q2), divided
-  once at the end (exact mode, Fraction inputs), or float64.
+  once at the end (exact mode, Fraction inputs), or float64.  The float
+  recursion stops once its Collatz-Wielandt bracket on the chain's
+  Perron root has converged (Fu & Johnson, Adv. Appl. Prob. 41 (2009)
+  292-308) and extrapolates the remaining steps.
 
 Enumeration never consults the closed forms: probabilities come from
 counting sequences by their (#type-I, #type-II) failure counts.
@@ -151,7 +154,9 @@ def longest_cdf_by_enumeration(dist: TrialDistribution, N: int, m: int):
 # * a float step, one product weights @ f[succ], takes 3-5 us of numpy
 #   call overhead (at S = 4..340, m = 2..10) plus 4.5-8 ns per state
 #   (S = 2680..170720) on one OpenBLAS thread; OpenBLAS may thread the
-#   product at S ~ 1e5, and then a step at m = 80 took 1.3-8 ms;
+#   product at S ~ 1e5, and then a step at m = 80 took 1.3-8 ms.  Float
+#   mode stops once its bracket has converged (tens to a few hundred
+#   steps), so the N steps charged for it are an upper bound;
 # * an exact step does three Python-int products per state, each ~45 ns
 #   plus ~4 ns per pair of 64-bit words multiplied; f grows to about
 #   N log2(d) bits and a weight has up to log2(d) bits.  With d = 3 the
@@ -159,14 +164,14 @@ def longest_cdf_by_enumeration(dist: TrialDistribution, N: int, m: int):
 BUILD_COST = 100           # per chain state
 STEP_COST = 2000           # per step, either mode
 EXACT_PRODUCT_COST = 15    # per big-integer product, besides its words
-LIFT_BITS = 600            # float mode: f is lifted by 2^600 when f(0) < 2^-600
-_LIFT_BELOW = 2.0 ** -LIFT_BITS
+CONVERGED = 2.0 ** -50     # float mode stops once the bracket's b/a - 1 is this small
 
 
 def _dp_work(N: int, m: int, bits: int | None) -> int:
-    """Word operations :func:`dp_longest_cdf` spends: the chain build, then
-    N steps of three products per state.  `bits` is the size of the
-    common denominator in exact mode, None in float mode."""
+    """Word operations :func:`dp_longest_cdf` spends at most: the chain
+    build, then N steps of three products per state (float mode may stop
+    sooner).  `bits` is the size of the common denominator in exact mode,
+    None in float mode."""
     S = m * (m + 1) * (2 * m + 1) // 6 - m * (m - 1) // 2  # states of _dp_chain(m)
     per_product = 1
     if bits is not None:
@@ -201,6 +206,50 @@ def _dp_chain(m: int) -> np.ndarray:
     return np.stack([lookup[L1, a1, b1], lookup[a1, 0, c1], lookup[b1, c1, 0]])
 
 
+def _times_power(f0: float, scale: int, x: float, n: int) -> float:
+    """f0 * 2^scale * min(x, 1)^n for x > 0, summed in log2 and rounded by one ldexp."""
+    t = math.log2(min(x, 1.0)) * min(n, 2 ** 1000)  # past 2^1000 steps any x < 1 underflows
+    whole = math.floor(t)
+    return math.ldexp(f0 * 2.0 ** (t - whole), scale + whole)
+
+
+def _dp_float(succ: np.ndarray, weights: np.ndarray, N: int):
+    """f_N(0) of the recursion on chain `succ` in float64: (value, steps, lo, hi).
+
+    Each step g = weights @ f[succ] is renormalized by the power of two
+    that puts g(0), the largest entry, in [1/2, 1), so nothing underflows
+    before the final ldexp; the exponents add up in an int.  The
+    Collatz-Wielandt ratios a = min g/f and b = max g/f, over the states
+    with f > 0, bracket the chain's Perron root: T is nonnegative, so
+    T f >= a f gives T^j f >= a^j f, and likewise for b.  At the first
+    step K with a > 0 and b/a - 1 <= CONVERGED the loop stops: f_N(0)
+    lies in [lo, hi] = f_K(0) [a, b]^(N-K), each root clamped to at
+    most 1, and the value is f_K(0) sqrt(ab)^(N-K), relative width about
+    (N - K) 2^-50.  The bracket leaves out the float rounding of the K
+    steps taken.  Without convergence all N steps run and lo = value = hi.
+    """
+    f = np.ones(succ.shape[1] + 1)
+    f[-1] = 0.0  # the absorbing state
+    fs = f[:-1]  # a view of every other state
+    ratio = np.empty(succ.shape[1])
+    scale = 0
+    # where f = 0, g = 0 too: the ratio 0/0 is nan, which fmin and fmax skip
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, N + 1):
+            g = weights @ f[succ]
+            a = np.fmin.reduce(np.divide(g, fs, out=ratio))
+            b = np.fmax.reduce(ratio)
+            e = math.frexp(g[0])[1]
+            scale += e
+            np.ldexp(g, -e, out=fs)
+            if a > 0 and b / a - 1 <= CONVERGED:
+                break
+        else:
+            a = b = 1.0  # all N steps taken, nothing to extrapolate
+    value, lo, hi = (_times_power(f[0], scale, x, N - k) for x in (math.sqrt(a * b), a, b))
+    return value, k, lo, hi
+
+
 def dp_longest_cdf(dist: TrialDistribution, N: int, m: int, mode: str = "float",
                    budget: float = DEFAULT_BUDGET):
     """Exact P(mu(N) < m) = P(tau_m > N) by backward recursion on the minimal chain.
@@ -210,11 +259,11 @@ def dp_longest_cdf(dist: TrialDistribution, N: int, m: int, mode: str = "float",
     one product weights @ f[succ] per step, with f = 0 on the absorbing
     state; the answer is f_N(0).  Exact mode on a Fraction distribution
     runs in integers: the weights are put over their common denominator
-    d and the result is divided by d^N once.  Otherwise the same loop
-    runs in float64; f(0) is the largest entry, and f is lifted by a
-    power of two whenever f(0) drops below 2^-LIFT_BITS, so nothing
-    underflows before the final ldexp.  The cost (see :func:`_dp_work`)
-    is checked against `budget` before the chain is built.
+    d and the result is divided by d^N once.  Otherwise the same step
+    runs in float64 until the chain's Perron root is bracketed, and the
+    remaining steps are extrapolated (:func:`_dp_float`).  The cost (see
+    :func:`_dp_work`) is checked against `budget` before the chain is
+    built.
     """
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
@@ -238,12 +287,10 @@ def dp_longest_cdf(dist: TrialDistribution, N: int, m: int, mode: str = "float",
             f"raise `budget` to force the run"
         )
     succ = _dp_chain(m)
-    f = np.ones(succ.shape[1] + 1, dtype=object if exact else np.float64)
+    if not exact:
+        return _dp_float(succ, weights, N)[0]
+    f = np.ones(succ.shape[1] + 1, dtype=object)
     f[-1] = 0  # the absorbing state
-    lifted = 0
     for _ in range(N):
         f[:-1] = weights @ f[succ]
-        if not exact and f[0] < _LIFT_BELOW:
-            f *= 2.0 ** LIFT_BITS
-            lifted += LIFT_BITS
-    return Fraction(f[0], d ** N) if exact else math.ldexp(float(f[0]), -lifted)
+    return Fraction(f[0], d ** N)

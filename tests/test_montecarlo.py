@@ -160,6 +160,18 @@ def test_sup_distance_lattice_agrees_with_exact_law():
     assert sup_distance_lattice(half, below) == 0.75
 
 
+def test_sup_distance_lattice_cost_follows_the_support():
+    # the reference is called on the support and the two integers below
+    # each point, not once per integer of the value range
+    below = lambda k: min(1.0, max(0.0, k / 10 ** 4))
+    for values in ([0, 10 ** 4], [-0.5, 2.5, 10 ** 4 + 0.25]):
+        emp = EmpiricalDistribution.from_samples(values)
+        calls = []
+        distance = sup_distance_lattice(emp, lambda k: calls.append(k) or below(k))
+        assert len(calls) <= 3 * len(emp.support)
+        assert distance == _lattice_by_brute_force(emp, below)
+
+
 def test_sup_distance_rejects_empty():
     empty = EmpiricalDistribution(support=np.zeros(0), weights=np.zeros(0, dtype=int),
                                   total=0)

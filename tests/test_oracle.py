@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from contamruns.analytic import alpha_correction, cfk_bounds, window_probability
 from contamruns.model import TrialDistribution, ValidationError, is_window_valid
 from contamruns.oracle import (
     SizeError,
     _all_sequences,
     _dp_chain,
+    _dp_float,
     dp_longest_cdf,
     enumerate_conditional,
     enumerate_event,
@@ -21,6 +23,9 @@ from contamruns.oracle import (
 
 THIRDS = TrialDistribution(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 SKEWED = TrialDistribution(Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
+FIGURE_TRIPLES = (THIRDS,  # figures 1, 3 and 8
+                  TrialDistribution(Fraction(1, 2), Fraction(2, 5), Fraction(1, 10)),
+                  TrialDistribution(Fraction(4, 5), Fraction(1, 10), Fraction(1, 10)))
 
 
 def test_enumerate_event_total_mass():
@@ -139,7 +144,8 @@ def test_dp_budget_refusal():
     with pytest.raises(SizeError):
         dp_longest_cdf(THIRDS, 2000, 1000, mode="float")
     # each float step has a fixed cost: at m = 2 the 4 states are cheap,
-    # the 10^7 steps are not
+    # the 10^7 steps are not.  Float mode stops once its bracket has
+    # converged, so the N steps charged are an upper bound on its work
     with pytest.raises(SizeError):
         dp_longest_cdf(THIRDS, 10 ** 7, 2, mode="float")
     # work past the double range still makes a message
@@ -169,6 +175,42 @@ def test_dp_float_does_not_underflow():
     for N in (2120, 10000):
         assert dp_longest_cdf(THIRDS, N, 3, mode="float") == \
             float(dp_longest_cdf(THIRDS, N, 3, mode="exact"))
+
+
+def _float_bracket(dist, N, m):
+    return _dp_float(_dp_chain(m), np.array(dist.as_floats()), N)
+
+
+def test_float_bracket_contains_exact_dp():
+    # f_K(0) carries the rounding of the K steps taken, which the bracket
+    # leaves out: each step rounds the three weights (u each) and their
+    # three-term product (~3u), so the slack is 4 K u relative, u = 2^-53
+    for dist in FIGURE_TRIPLES:
+        for N, m in ((200, 6), (1000, 8), (2000, 12)):
+            exact = float(dp_longest_cdf(dist, N, m, mode="exact", budget=math.inf))
+            value, steps, lo, hi = _float_bracket(dist, N, m)
+            slack = 4 * steps * 2.0 ** -53
+            assert lo * (1 - slack) <= exact <= hi * (1 + slack), (dist, N, m)
+            assert lo <= value <= hi
+
+
+def test_float_dp_stops_at_convergence():
+    value, steps, lo, hi = _float_bracket(THIRDS, 10 ** 5, 10)
+    assert steps < 200
+    assert 0 < lo <= value <= hi and hi - lo < 1e-9 * value
+    # a forced run past the double range of step counts returns at once
+    assert dp_longest_cdf(THIRDS, 10 ** 400, 10, budget=math.inf) == 0.0
+
+
+def test_cfk_sandwich_at_the_paper_scale():
+    # criterion 5 at thirds, N = 3e6, the paper's scale, where [m(N)] = 18
+    N = 3 * 10 ** 6
+    eps_from = float(enumerate_conditional(THIRDS, 7))
+    for m in range(16, 21):
+        alpha = float(alpha_correction(THIRDS, m).alpha)
+        lo, hi = cfk_bounds(alpha, abs(eps_from - alpha), N - m + 1, m,
+                            float(window_probability(THIRDS, m)))
+        assert lo <= dp_longest_cdf(THIRDS, N, m, mode="float", budget=math.inf) <= hi, m
 
 
 def test_dp_chain_is_minimal_size():
