@@ -38,6 +38,7 @@ from .montecarlo import (
     simulate_sequence,
     sup_distance,
     sup_distance_lattice,
+    sup_distance_step,
 )
 from .oracle import (
     dp_longest_cdf,

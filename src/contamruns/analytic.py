@@ -294,6 +294,16 @@ def h_function_terms(dist: TrialDistribution, N: int, x: float) -> ExpansionTerm
     return ExpansionTerms(terms=terms, total=math.fsum(terms.values()))
 
 
+def _h_coefficients(lN: float, llN: float, c: DerivedConstants) -> tuple[float, float]:
+    """(a1, a2) with H(x) = a1 x + a2 x^2: the terms of
+    :func:`h_function_terms` grouped by their power of x."""
+    C, C0, C1 = c.C, float(c.C0), finite_float(c.C1, "C1")
+    r = (C1 - C0) / (C * C0)
+    a1 = (-1 + 2 / (C * lN) - 4 / C * llN / lN ** 2 - r / lN ** 2
+          + (4 * r - 8 / C ** 2) * llN / lN ** 3 + 8 / C * llN ** 2 / lN ** 3)
+    return a1, -1 / (C * lN ** 2) + 4 / C * llN / lN ** 3
+
+
 @dataclass(frozen=True)
 class AccompanyingValue:
     cdf: float
@@ -306,17 +316,27 @@ def accompanying_cdf_details(dist: TrialDistribution, N: int, k: int) -> Accompa
 
     Computed through the exponent form: the exponent of the outer exp is
     (1/p)^(log(C0 p^-2 q1 q2) + H(k - {m(N)})), logs to base 1/p.
+
+    H is a truncated expansion, a1 x + a2 x^2: past its vertex, where
+    H'(x) = a1 + 2 a2 x > 0, it turns back and the CDF would fall again.
+    There the value is the tail the CDF tends to on that side, 0 left of
+    the vertex and 1 right of it, and `clamped` is set.
     """
-    _, _, c = _check_logs(dist, N)
+    lN, llN, c = _check_logs(dist, N)
     p, q1, q2 = dist.as_floats()
     frac = m_of_n(dist, N).fractional_part
     try:  # OverflowError: |k| past the double range; ValueError: H(k - frac) or
         # log(C0 q1 q2 / p^2) leaves it; ZeroDivisionError: p * p underflows
-        H = h_function_terms(dist, N, k - frac).total
+        x = k - frac
+        H = h_function_terms(dist, N, x).total
         L = math.log(float(c.C0) * q1 * q2 / (p * p)) / c.C + H
     except (OverflowError, ValueError, ZeroDivisionError):
         raise ValidationError("k, p, q1 or q2 puts the accompanying exponent past the "
                               "double range") from None
+    a1, a2 = _h_coefficients(lN, llN, c)
+    if a1 + 2 * a2 * x > 0:  # a2 > 0: right of the vertex; else left of it
+        return (AccompanyingValue(cdf=1.0, exponent=0.0, clamped=True) if a2 > 0
+                else AccompanyingValue(cdf=0.0, exponent=math.inf, clamped=True))
     log_l = c.C * L  # natural log of the exponent l = (1/p)^L
     clamped = False
     if log_l > 700.0:

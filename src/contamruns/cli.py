@@ -245,14 +245,15 @@ def _against(empirical, ref_name: str, dist=None, N=None):
     """(sup-distance, reference CDF at each support point) against a named law.
 
     ref_name is exp1, accompanying (which needs dist and N) or the path
-    of another empirical CSV.
+    of another empirical CSV.  The law is cached, so the distance and the
+    column share one evaluation per point.
     """
     if ref_name == "exp1":
-        column = [an.theorem1_limit_cdf(float(x)) for x in empirical.support]
-        return mc.sup_distance(empirical, an.theorem1_limit_cdf), column
+        cdf = functools.cache(an.theorem1_limit_cdf)
+        return mc.sup_distance(empirical, cdf), [cdf(float(x)) for x in empirical.support]
     if ref_name == "accompanying":
-        below = lambda k: an.accompanying_cdf(dist, N, k)  # P(mu(N) - [m(N)] < k)
-        column = [below(math.floor(x) + 1) for x in empirical.support]
+        below = functools.cache(lambda k: an.accompanying_cdf(dist, N, k))  # P(mu - [m(N)] < k)
+        column = [below(math.floor(x) + 1) for x in empirical.support.tolist()]
         return mc.sup_distance_lattice(empirical, below), column
     other, _ = read_empirical_csv(ref_name)
     return mc.sup_distance_step(empirical, other), other.cdf(empirical.support).tolist()

@@ -19,6 +19,9 @@ from .model import ValidationError
 from .montecarlo import EmpiricalDistribution
 
 
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
 class FileFormatError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -63,26 +66,32 @@ def read_empirical_csv(path) -> tuple[EmpiricalDistribution, dict]:
         parts = line.split(",")
         if len(parts) != 3:
             raise FileFormatError(f"expected 3 fields, got {len(parts)}", lineno)
+        # an integer value is read exactly, not rounded through a double
+        integer = parts[0].lstrip("+-").isdigit()
+        integer_support = integer_support and integer
         try:
-            x = float(parts[0])
+            x = int(parts[0]) if integer else float(parts[0])
             w = int(parts[1])
         except ValueError as exc:
             raise FileFormatError(str(exc), lineno) from None
+        if integer and not _INT64_MIN <= x <= _INT64_MAX:
+            raise FileFormatError(f"integer value past the int64 range, got {parts[0]!r}",
+                                  lineno)
         if not math.isfinite(x):
             raise FileFormatError(f"value must be finite, got {parts[0]!r}", lineno)
         if w < 1:
             raise FileFormatError(f"count must be >= 1, got {w}", lineno)
-        if "." in parts[0] or "e" in parts[0] or "E" in parts[0]:
-            integer_support = False
         support.append(x)
         weights.append(w)
     if not body_started:
         raise FileFormatError("no header found", len(lines))
     if not support:
         raise FileFormatError("no data rows", len(lines))
+    if sum(weights) > _INT64_MAX:  # counts are >= 1: refuses any one count past it too
+        raise FileFormatError("the counts sum past the int64 range")
     arr = np.asarray(support, dtype=np.int64 if integer_support else np.float64)
     w = np.asarray(weights, dtype=np.int64)
-    if not np.all(np.diff(arr) > 0):
+    if not np.all(arr[1:] > arr[:-1]):  # np.diff wraps past int64
         raise FileFormatError("support values must be strictly increasing")
     return EmpiricalDistribution(support=arr, weights=w, total=int(w.sum())), metadata
 

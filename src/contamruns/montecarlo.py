@@ -88,7 +88,7 @@ class EmpiricalDistribution:
     def __post_init__(self):
         if len(self.support) != len(self.weights):
             raise ValidationError("support and weights must have equal length")
-        if np.any(np.diff(self.support) <= 0):
+        if np.any(self.support[1:] <= self.support[:-1]):  # np.diff wraps past int64
             raise ValidationError("support must be strictly increasing")
         if int(self.weights.sum()) != self.total:
             raise ValidationError("weights must sum to total")
@@ -99,14 +99,15 @@ class EmpiricalDistribution:
         support, counts = np.unique(values, return_counts=True)
         return cls(support=support, weights=counts.astype(np.int64), total=int(len(values)))
 
-    def cdf(self, x):
-        """Empirical P(value <= x) at each point of x (a scalar gives a float64).
+    def cdf(self, x, side="right"):
+        """Empirical P(value <= x) at each point of x, or P(value < x) with
+        side="left" (a scalar gives a float64).
 
         One lookup in the cumulative integer counts; the division by the
         total comes last, so each value is the same double as count / total.
         """
         counts = np.concatenate(([0], np.cumsum(self.weights)))
-        return counts[np.searchsorted(self.support, x, side="right")] / self.total
+        return counts[np.searchsorted(self.support, x, side=side)] / self.total
 
 
 @dataclass(frozen=True)
@@ -179,45 +180,40 @@ def run_hitting_experiment(cfg: ExperimentConfig, workers: int = 1) -> Experimen
     )
 
 
-def sup_distance(empirical: EmpiricalDistribution,
-                 reference_cdf: Callable[[float], float]) -> float:
-    """Kolmogorov-Smirnov statistic against a continuous reference CDF.
+def _sup_distance(empirical: EmpiricalDistribution, at, before) -> float:
+    """sup over the real line of |ECDF - F|, given F(x) and F(x-) at each
+    support point x of the ECDF (in order).
 
-    The ECDF value and its left limit are both compared with the
-    reference at every support point.
+    Left of the support the ECDF is 0, right of it 1, and between two
+    support points constant, while F is nondecreasing: on each of these
+    pieces |ECDF - F| is largest at an end, so the supremum is the
+    largest of |ECDF(x) - F(x)| and |ECDF(x-) - F(x-)| over the support.
     """
     if empirical.total == 0:
         raise ValidationError("empirical distribution must be non-empty")
-    cum = empirical.cdf(empirical.support)
-    left = np.concatenate(([0.0], cum[:-1]))
-    ref = np.array([reference_cdf(float(x)) for x in empirical.support])
-    return float(np.max(np.maximum(np.abs(cum - ref), np.abs(left - ref))))
+    x = empirical.support
+    return float(np.max(np.maximum(np.abs(empirical.cdf(x) - at),
+                                   np.abs(empirical.cdf(x, side="left") - before))))
+
+
+def sup_distance(empirical: EmpiricalDistribution,
+                 reference_cdf: Callable[[float], float]) -> float:
+    """Kolmogorov-Smirnov statistic against a continuous reference CDF."""
+    at = np.array([reference_cdf(float(x)) for x in empirical.support])
+    return _sup_distance(empirical, at, at)
 
 
 def sup_distance_step(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
-    """Sup distance between two empirical (right-continuous step) CDFs.
-
-    Attained at a jump point of either, so evaluated on the union of
-    supports; identical distributions give exactly 0.
-    """
-    grid = np.union1d(a.support, b.support)
-    return float(np.max(np.abs(a.cdf(grid) - b.cdf(grid))))
+    """Sup distance between two empirical (right-continuous step) CDFs."""
+    return _sup_distance(a, b.cdf(a.support), b.cdf(a.support, side="left"))
 
 
 def sup_distance_lattice(empirical: EmpiricalDistribution,
                          reference_cdf_below: Callable[[int], float]) -> float:
-    """Sup distance against a law on the integers, given as P(value < k).
-
-    The ECDF jumps at its support and the reference at integers; the
-    reference at x is P(value < floor(x) + 1).  Between two support
-    points the ECDF is constant and the reference nondecreasing, so the
-    supremum over the real line is attained on the support and the
-    integers floor(x) - 1 and floor(x) of each support point x: at most
-    three reference calls per support point, whatever the value range.
-    """
-    if empirical.total == 0:
-        raise ValidationError("empirical distribution must be non-empty")
-    floors = empirical.support // 1  # in the support's dtype
-    grid = np.union1d(empirical.support, np.concatenate((floors - 1, floors)))
-    ref = np.array([reference_cdf_below(math.floor(x) + 1) for x in grid], dtype=np.float64)
-    return float(np.max(np.abs(empirical.cdf(grid) - ref)))
+    """Sup distance against a nondecreasing law on the integers, given as
+    P(value < k): F(x) is P(value < floor(x) + 1) and F(x-) is
+    P(value < ceil(x)), two reference calls per support point."""
+    xs = empirical.support.tolist()  # Python numbers: floor and ceil stay exact
+    return _sup_distance(empirical,
+                         [reference_cdf_below(math.floor(x) + 1) for x in xs],
+                         [reference_cdf_below(math.ceil(x)) for x in xs])

@@ -261,12 +261,19 @@ def test_accompanying_cdf_frozen_values():
 
 
 def test_accompanying_cdf_monotone_and_clamped_tails():
-    prev = -1.0
-    for k in range(-15, 16):
-        v = accompanying_cdf(THIRDS, N_FIG1, k)
-        assert 0.0 <= v <= 1.0
-        assert v >= prev
-        prev = v
+    # H is a quadratic in k that turns back past its vertex (near k = 55
+    # at N = 200, near k = -300 at N = 3e6); the CDF must not
+    for N in (200, 1000, 10 ** 6, N_FIG1):
+        prev = -1.0
+        for k in range(-700, 701):
+            v = accompanying_cdf(THIRDS, N, k)
+            assert 0.0 <= v <= 1.0
+            assert v >= prev, (N, k)
+            prev = v
+    # mu(200) <= 200, so P(mu(200) - [m(200)] < 200) is 1
+    for N, k, cdf, exponent in ((200, 200, 1.0, 0.0), (10 ** 6, -700, 0.0, math.inf)):
+        d = accompanying_cdf_details(THIRDS, N, k)
+        assert (d.cdf, d.exponent, d.clamped) == (cdf, exponent, True)
     assert accompanying_cdf(THIRDS, N_FIG1, -40) == 0.0
     assert accompanying_cdf(THIRDS, N_FIG1, 40) == 1.0
     far = accompanying_cdf_details(THIRDS, N_FIG1, 500)

@@ -60,6 +60,9 @@ def test_empirical_csv_round_trip_floats(tmp_path):
     ("value,count,ecdf\n-inf,1,0.5\n1,1,1.0\n", 2),
     ("value,count,ecdf\n1,-1,0.5\n2,1,1.0\n", 2),     # counts below 1
     ("value,count,ecdf\n1,2,0.5\n2,0,1.0\n", 3),
+    ("value,count,ecdf\n1,1,0.5\n9223372036854775808,1,1.0\n", 3),  # past int64
+    ("value,count,ecdf\n-9223372036854775809,1,1.0\n", 2),
+    ("value,count,ecdf\n1,9223372036854775808,1.0\n", None),
 ])
 def test_malformed_csv_raises_with_line(tmp_path, body, bad_line):
     path = tmp_path / "bad.csv"
@@ -529,3 +532,34 @@ def test_compare_sees_a_lattice_gap_between_integers(capsys, tmp_path):
                            *THIRDS_ARGS, "--N", "100")
     assert code == 0
     assert out.splitlines()[0] == "sup-distance vs accompanying: 0.773835"
+
+
+def test_integer_values_are_read_exactly_up_to_the_int64_range(capsys, tmp_path):
+    # float() would round 2^63 - 1 up to 2^63, past int64, and 2^53 + 1 down
+    values = [-2 ** 63, 2 ** 53 + 1, 2 ** 63 - 1]
+    path = tmp_path / "wide.csv"
+    path.write_text("value,count,ecdf\n" + "".join(f"{v},1,0\n" for v in values),
+                    encoding="utf-8")
+    emp, _ = read_empirical_csv(path)
+    assert emp.support.tolist() == values
+    code, _, err = run_cli(capsys, "compare", str(path), "--ref", "exp1")
+    assert code == 0, err
+    path.write_text(f"value,count,ecdf\n{2 ** 63},1,1.0\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "compare", str(path), "--ref", "exp1")
+    assert code == EXIT_VALIDATION and "line 2" in err
+
+
+def test_compare_evaluates_the_lattice_law_once_per_point(capsys, tmp_path, monkeypatch):
+    # support -3..3: the distance needs P(. < k) at k = -3..4 and the
+    # reference column at k = -2..4, one call per distinct k
+    import contamruns.analytic
+    calls = []
+    accompanying_cdf = contamruns.analytic.accompanying_cdf
+    monkeypatch.setattr(contamruns.analytic, "accompanying_cdf",
+                        lambda *a: calls.append(a[2]) or accompanying_cdf(*a))
+    path = tmp_path / "ints.csv"
+    write_empirical_csv(path, EmpiricalDistribution.from_samples(range(-3, 4)), {})
+    code, _, err = run_cli(capsys, "compare", str(path), "--ref", "accompanying",
+                           *THIRDS_ARGS, "--N", "1000")
+    assert code == 0, err
+    assert sorted(calls) == list(range(-3, 5))

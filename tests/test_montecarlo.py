@@ -225,6 +225,7 @@ def test_array_forms_equal_per_point_definitions(xs, ys, points):
         assert isinstance(scalar, float)
         assert scalar == v == _cdf_by_sum(a, float(x))
     assert sup_distance_step(a, b) == _step_by_points(a, b)
+    assert sup_distance_step(a, b) == sup_distance_step(b, a)
     assert sup_distance_step(a, a) == 0.0
     below = lambda k: _cdf_by_sum(b, k - 1)
     assert sup_distance_lattice(a, below) == _lattice_by_brute_force(a, below)
