@@ -4,6 +4,7 @@ closed forms, exact oracles, O(N) scans, and Monte Carlo experiments."""
 __version__ = "0.1.0"
 
 from .analytic import (
+    AccompanyingLaw,
     AlphaBreakdown,
     ExpansionTerms,
     accompanying_cdf,

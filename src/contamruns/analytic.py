@@ -12,12 +12,12 @@ parameters.  Conventions:
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
 
 from .model import (
-    DerivedConstants,
     SizeError,
     TrialDistribution,
     ValidationError,
@@ -216,21 +216,6 @@ def theorem1_limit_cdf(x: float) -> float:
     return -math.expm1(-x) if x >= 0 else 0.0
 
 
-def _check_logs(dist: TrialDistribution, N: int) -> tuple[float, float, DerivedConstants]:
-    """log N and log log N (base 1/p) and the constants; math.log takes
-    an integer N of any size."""
-    if N < 1:
-        raise ValidationError(f"N must be >= 1, got {N}")
-    c = derive_constants(dist)
-    lN = math.log(N) / c.C
-    if lN <= 1.0:
-        raise ValidationError(
-            f"need log_(1/p) N > 1 (i.e. N > 1/p) so that log log N is defined; "
-            f"got N={N}, log N = {lN}"
-        )
-    return lN, math.log(lN) / c.C, c
-
-
 @dataclass(frozen=True)
 class ExpansionTerms:
     """A sum decomposed into labeled summands (total = exact sum)."""
@@ -247,63 +232,6 @@ class ExpansionTerms:
         return self.total - math.floor(self.total)
 
 
-def m_of_n(dist: TrialDistribution, N: int) -> ExpansionTerms:
-    """Centering sequence m(N) for the longest run, as ten labeled terms.
-
-    All logs to base 1/p.  The three trailing correction summands of the
-    printed expansion share denominators with earlier ones and are folded
-    into the (loglog N)^2/(log N)^3 and loglog N/(log N)^3 terms.
-    """
-    lN, llN, c = _check_logs(dist, N)
-    C, C0, C1, K = c.C, float(c.C0), finite_float(c.C1, "C1"), c.K
-    r = (C1 - C0) / (C * C0)
-    terms = {
-        "log N": lN,
-        "2 loglog N": 2 * llN,
-        "4 loglog N / (C log N)": 4 * llN / (C * lN),
-        "(C1-C0)/(C C0) / log N": r / lN,
-        "-4/C (loglog N)^2/(log N)^2": -4 / C * llN ** 2 / lN ** 2,
-        "(8/C^2 - 2(C1-C0)/(C C0)) loglog N/(log N)^2": (8 / C ** 2 - 2 * r) * llN / lN ** 2,
-        "(2(C1-C0)/(C^2 C0) + K) / (log N)^2": (2 * r / C + K) / lN ** 2,
-        "16/(3C) (loglog N)^3/(log N)^3": 16 / (3 * C) * llN ** 3 / lN ** 3,
-        "(4(C1-C0)/(C C0) - 24/C^2) (loglog N)^2/(log N)^3":
-            (4 * r - 24 / C ** 2) * llN ** 2 / lN ** 3,
-        "(16/C^3 - 4K - 12(C1-C0)/(C^2 C0)) loglog N/(log N)^3":
-            (16 / C ** 3 - 4 * K - 12 * r / C) * llN / lN ** 3,
-    }
-    return ExpansionTerms(terms=terms, total=math.fsum(terms.values()))
-
-
-def h_function_terms(dist: TrialDistribution, N: int, x: float) -> ExpansionTerms:
-    """Correction polynomial H(x) entering the accompanying CDF exponent."""
-    lN, llN, c = _check_logs(dist, N)
-    C, C0, C1 = c.C, float(c.C0), finite_float(c.C1, "C1")
-    r = (C1 - C0) / (C * C0)
-    terms = {
-        "-x": -x,
-        "2x/(C log N)": 2 * x / (C * lN),
-        "-4/C loglog N/(log N)^2 x": -4 / C * llN / lN ** 2 * x,
-        "-(C1-C0)/(C C0) x/(log N)^2": -r * x / lN ** 2,
-        "(4(C1-C0)/(C C0) - 8/C^2) loglog N/(log N)^3 x": (4 * r - 8 / C ** 2) * llN / lN ** 3 * x,
-        "8/C (loglog N)^2/(log N)^3 x": 8 / C * llN ** 2 / lN ** 3 * x,
-        "-x^2/(C (log N)^2)": -x * x / (C * lN ** 2),
-        "4/C loglog N/(log N)^3 x^2": 4 / C * llN / lN ** 3 * x * x,
-    }
-    if not all(map(math.isfinite, terms.values())):
-        raise ValidationError(f"x must keep every term of H(x) a finite double, got {x!r}")
-    return ExpansionTerms(terms=terms, total=math.fsum(terms.values()))
-
-
-def _h_coefficients(lN: float, llN: float, c: DerivedConstants) -> tuple[float, float]:
-    """(a1, a2) with H(x) = a1 x + a2 x^2: the terms of
-    :func:`h_function_terms` grouped by their power of x."""
-    C, C0, C1 = c.C, float(c.C0), finite_float(c.C1, "C1")
-    r = (C1 - C0) / (C * C0)
-    a1 = (-1 + 2 / (C * lN) - 4 / C * llN / lN ** 2 - r / lN ** 2
-          + (4 * r - 8 / C ** 2) * llN / lN ** 3 + 8 / C * llN ** 2 / lN ** 3)
-    return a1, -1 / (C * lN ** 2) + 4 / C * llN / lN ** 3
-
-
 @dataclass(frozen=True)
 class AccompanyingValue:
     cdf: float
@@ -311,48 +239,118 @@ class AccompanyingValue:
     clamped: bool    # l overflowed/underflowed double range
 
 
+class AccompanyingLaw:
+    """The accompanying law of the longest run at one (dist, N), logs to base 1/p:
+    P(mu(N) - [m(N)] < k) ~ exp(-(1/p)^(log(C0 p^-2 q1 q2) + H(k - {m(N)}))).
+
+    Building it checks N and derives the constants, log N, log log N and
+    r = (C1-C0)/(C C0) once.  m(N) needs K and is built on first use, so H
+    stays available where K leaves the double range."""
+
+    def __init__(self, dist: TrialDistribution, N: int):
+        if N < 1:
+            raise ValidationError(f"N must be >= 1, got {N}")
+        c = derive_constants(dist)
+        lN = math.log(N) / c.C  # math.log takes an integer N of any size
+        if lN <= 1.0:
+            raise ValidationError(
+                f"need log_(1/p) N > 1 (i.e. N > 1/p) so that log log N is defined; "
+                f"got N={N}, log N = {lN}"
+            )
+        self.dist, self.constants, self.lN, self.llN = dist, c, lN, math.log(lN) / c.C
+        self.r = (finite_float(c.C1, "C1") - float(c.C0)) / (c.C * float(c.C0))
+
+    @functools.cached_property
+    def m(self) -> ExpansionTerms:
+        """Centering sequence m(N) for the longest run, as ten labeled terms.
+
+        The three trailing correction summands of the printed expansion
+        share denominators with earlier ones and are folded into the
+        (loglog N)^2/(log N)^3 and loglog N/(log N)^3 terms.
+        """
+        C, K, lN, llN, r = self.constants.C, self.constants.K, self.lN, self.llN, self.r
+        terms = {
+            "log N": lN,
+            "2 loglog N": 2 * llN,
+            "4 loglog N / (C log N)": 4 * llN / (C * lN),
+            "(C1-C0)/(C C0) / log N": r / lN,
+            "-4/C (loglog N)^2/(log N)^2": -4 / C * llN ** 2 / lN ** 2,
+            "(8/C^2 - 2(C1-C0)/(C C0)) loglog N/(log N)^2": (8 / C ** 2 - 2 * r) * llN / lN ** 2,
+            "(2(C1-C0)/(C^2 C0) + K) / (log N)^2": (2 * r / C + K) / lN ** 2,
+            "16/(3C) (loglog N)^3/(log N)^3": 16 / (3 * C) * llN ** 3 / lN ** 3,
+            "(4(C1-C0)/(C C0) - 24/C^2) (loglog N)^2/(log N)^3":
+                (4 * r - 24 / C ** 2) * llN ** 2 / lN ** 3,
+            "(16/C^3 - 4K - 12(C1-C0)/(C^2 C0)) loglog N/(log N)^3":
+                (16 / C ** 3 - 4 * K - 12 * r / C) * llN / lN ** 3,
+        }
+        return ExpansionTerms(terms=terms, total=math.fsum(terms.values()))
+
+    def h(self, x: float) -> ExpansionTerms:
+        """Correction polynomial H(x) entering the accompanying CDF exponent,
+        as eight labeled terms: six linear in x, then two quadratic."""
+        C, lN, llN, r = self.constants.C, self.lN, self.llN, self.r
+        terms = {
+            "-x": -x,
+            "2x/(C log N)": 2 * x / (C * lN),
+            "-4/C loglog N/(log N)^2 x": -4 / C * llN / lN ** 2 * x,
+            "-(C1-C0)/(C C0) x/(log N)^2": -r * x / lN ** 2,
+            "(4(C1-C0)/(C C0) - 8/C^2) loglog N/(log N)^3 x":
+                (4 * r - 8 / C ** 2) * llN / lN ** 3 * x,
+            "8/C (loglog N)^2/(log N)^3 x": 8 / C * llN ** 2 / lN ** 3 * x,
+            "-x^2/(C (log N)^2)": -x * x / (C * lN ** 2),
+            "4/C loglog N/(log N)^3 x^2": 4 / C * llN / lN ** 3 * x * x,
+        }
+        if not all(map(math.isfinite, terms.values())):
+            raise ValidationError(f"x must keep every term of H(x) a finite double, got {x!r}")
+        return ExpansionTerms(terms=terms, total=math.fsum(terms.values()))
+
+    @functools.cached_property
+    def h_coefficients(self) -> tuple[float, float]:
+        """(a1, a2) with H(x) = a1 x + a2 x^2: H's terms at x = 1 summed by power of x."""
+        t = list(self.h(1.0).terms.values())
+        return sum(t[:6]), sum(t[6:])
+
+    def at(self, k: int) -> AccompanyingValue:
+        """P(mu(N) - [m(N)] < k), computed through the exponent form.
+
+        H is a truncated expansion, a1 x + a2 x^2: past its vertex, where
+        H'(x) = a1 + 2 a2 x > 0, it turns back and the CDF would fall again.
+        There the value is the tail the CDF tends to on that side, 0 left of
+        the vertex and 1 right of it, and `clamped` is set.
+        """
+        c, (p, q1, q2) = self.constants, self.dist.as_floats()
+        frac = self.m.fractional_part
+        try:  # OverflowError: |k| past the double range; ValueError: H(k - frac) or
+            # log(C0 q1 q2 / p^2) leaves it; ZeroDivisionError: p * p underflows
+            x = k - frac
+            L = math.log(float(c.C0) * q1 * q2 / (p * p)) / c.C + self.h(x).total
+        except (OverflowError, ValueError, ZeroDivisionError):
+            raise ValidationError("k, p, q1 or q2 puts the accompanying exponent past the "
+                                  "double range") from None
+        a1, a2 = self.h_coefficients
+        if a1 + 2 * a2 * x > 0:  # a2 > 0: right of the vertex; else left of it
+            return (AccompanyingValue(cdf=1.0, exponent=0.0, clamped=True) if a2 > 0
+                    else AccompanyingValue(cdf=0.0, exponent=math.inf, clamped=True))
+        log_l = c.C * L  # natural log of the exponent l = (1/p)^L
+        l = math.inf if log_l > 700.0 else 0.0 if log_l < -745.0 else math.exp(log_l)
+        return AccompanyingValue(cdf=math.exp(-l), exponent=l,
+                                 clamped=log_l > 700.0 or log_l < -745.0)
+
+
+def m_of_n(dist: TrialDistribution, N: int) -> ExpansionTerms:
+    return AccompanyingLaw(dist, N).m
+
+
+def h_function_terms(dist: TrialDistribution, N: int, x: float) -> ExpansionTerms:
+    return AccompanyingLaw(dist, N).h(x)
+
+
 def accompanying_cdf_details(dist: TrialDistribution, N: int, k: int) -> AccompanyingValue:
-    """P(mu(N) - [m(N)] < k) via the accompanying distribution.
-
-    Computed through the exponent form: the exponent of the outer exp is
-    (1/p)^(log(C0 p^-2 q1 q2) + H(k - {m(N)})), logs to base 1/p.
-
-    H is a truncated expansion, a1 x + a2 x^2: past its vertex, where
-    H'(x) = a1 + 2 a2 x > 0, it turns back and the CDF would fall again.
-    There the value is the tail the CDF tends to on that side, 0 left of
-    the vertex and 1 right of it, and `clamped` is set.
-    """
-    lN, llN, c = _check_logs(dist, N)
-    p, q1, q2 = dist.as_floats()
-    frac = m_of_n(dist, N).fractional_part
-    try:  # OverflowError: |k| past the double range; ValueError: H(k - frac) or
-        # log(C0 q1 q2 / p^2) leaves it; ZeroDivisionError: p * p underflows
-        x = k - frac
-        H = h_function_terms(dist, N, x).total
-        L = math.log(float(c.C0) * q1 * q2 / (p * p)) / c.C + H
-    except (OverflowError, ValueError, ZeroDivisionError):
-        raise ValidationError("k, p, q1 or q2 puts the accompanying exponent past the "
-                              "double range") from None
-    a1, a2 = _h_coefficients(lN, llN, c)
-    if a1 + 2 * a2 * x > 0:  # a2 > 0: right of the vertex; else left of it
-        return (AccompanyingValue(cdf=1.0, exponent=0.0, clamped=True) if a2 > 0
-                else AccompanyingValue(cdf=0.0, exponent=math.inf, clamped=True))
-    log_l = c.C * L  # natural log of the exponent l = (1/p)^L
-    clamped = False
-    if log_l > 700.0:
-        l = math.inf
-        clamped = True
-    elif log_l < -745.0:
-        l = 0.0
-        clamped = True
-    else:
-        l = math.exp(log_l)
-    return AccompanyingValue(cdf=math.exp(-l) if l != math.inf else 0.0,
-                             exponent=l, clamped=clamped)
+    return AccompanyingLaw(dist, N).at(k)
 
 
 def accompanying_cdf(dist: TrialDistribution, N: int, k: int) -> float:
-    return accompanying_cdf_details(dist, N, k).cdf
+    return AccompanyingLaw(dist, N).at(k).cdf
 
 
 def exponent_l(dist: TrialDistribution, N: int, m: float) -> float:

@@ -96,7 +96,7 @@ def _emit(args, payload: dict, human) -> None:
     """Print the payload as JSON, or the human text (a string, or a
     callable that makes it only when it is printed)."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
     else:
         print(human() if callable(human) else human)
 
@@ -153,7 +153,8 @@ def cmd_analytic(args) -> int:
     elif q == "accompanying":
         _require(args, "N", "k")
         d = an.accompanying_cdf_details(_dist(args), args.N, args.k)
-        payload = {"cdf": d.cdf, "exponent": d.exponent, "clamped": d.clamped}
+        payload = {"cdf": d.cdf, "clamped": d.clamped,  # an infinite exponent prints as null
+                   "exponent": d.exponent if math.isfinite(d.exponent) else None}
         _emit(args, payload,
               f"P(mu(N) - [m(N)] < {args.k}) = {d.cdf!r}"
               + (" (clamped)" if d.clamped else ""))
@@ -252,7 +253,8 @@ def _against(empirical, ref_name: str, dist=None, N=None):
         cdf = functools.cache(an.theorem1_limit_cdf)
         return mc.sup_distance(empirical, cdf), [cdf(float(x)) for x in empirical.support]
     if ref_name == "accompanying":
-        below = functools.cache(lambda k: an.accompanying_cdf(dist, N, k))  # P(mu - [m(N)] < k)
+        law = an.AccompanyingLaw(dist, N)
+        below = functools.cache(lambda k: law.at(k).cdf)  # P(mu - [m(N)] < k)
         column = [below(math.floor(x) + 1) for x in empirical.support.tolist()]
         return mc.sup_distance_lattice(empirical, below), column
     other, _ = read_empirical_csv(ref_name)
@@ -326,7 +328,7 @@ def cmd_compare(args) -> int:
         except ValueError:
             raise ValidationError(f"cannot parse N {args.N!r}") from None
     distance, ref_column = _against(empirical, ref_name, dist, N)
-    rows = list(zip([float(x) for x in empirical.support],
+    rows = list(zip(empirical.support.tolist(),
                     empirical.cdf(empirical.support).tolist(), ref_column))
     _emit(args,
           {"sup_distance": distance, "reference": ref_name,

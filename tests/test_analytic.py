@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import contamruns.analytic
 from contamruns.analytic import (
+    AccompanyingLaw,
     accompanying_cdf,
     accompanying_cdf_details,
     alpha_correction,
@@ -284,6 +286,33 @@ def test_accompanying_cdf_symmetric_in_failure_types():
     for k in (-1, 0, 2):
         assert accompanying_cdf(SKEWED, N_FIG1, k) == pytest.approx(
             accompanying_cdf(SKEWED.swapped(), N_FIG1, k), rel=1e-12)
+
+
+def test_accompanying_law_derives_the_constants_once_per_query(monkeypatch):
+    calls = []
+    derive = contamruns.analytic.derive_constants
+    monkeypatch.setattr(contamruns.analytic, "derive_constants",
+                        lambda d: calls.append(d) or derive(d))
+    for query in (lambda: m_of_n(THIRDS, N_FIG1), lambda: h_function_terms(THIRDS, N_FIG1, 0.5),
+                  lambda: accompanying_cdf(THIRDS, N_FIG1, 0)):
+        calls.clear()
+        query()
+        assert len(calls) == 1
+    law = AccompanyingLaw(THIRDS, N_FIG1)
+    calls.clear()
+    assert [law.at(k).cdf for k in range(-3, 4)] == [
+        accompanying_cdf(THIRDS, N_FIG1, k) for k in range(-3, 4)]
+    assert len(calls) == 7  # the seven one-off laws, none for `law`
+
+
+def test_h_coefficients_are_h_grouped_by_power_of_x():
+    # the vertex clamp reads (a1, a2) off H's terms; H must stay a1 x + a2 x^2
+    for d in TRIPLES:
+        for N in (200, 10 ** 6, 10 ** 12):
+            law = AccompanyingLaw(d, N)
+            a1, a2 = law.h_coefficients
+            for x in (-3.5, -0.25, 0.8, 2.0, 17.0):
+                assert law.h(x).total == pytest.approx(a1 * x + a2 * x * x, rel=1e-14)
 
 
 # --- the exact exponent l ---------------------------------------------------

@@ -1,6 +1,7 @@
 """File formats and the command-line surface."""
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -551,15 +552,55 @@ def test_integer_values_are_read_exactly_up_to_the_int64_range(capsys, tmp_path)
 
 def test_compare_evaluates_the_lattice_law_once_per_point(capsys, tmp_path, monkeypatch):
     # support -3..3: the distance needs P(. < k) at k = -3..4 and the
-    # reference column at k = -2..4, one call per distinct k
+    # reference column at k = -2..4, one call per distinct k, all from one law
     import contamruns.analytic
-    calls = []
-    accompanying_cdf = contamruns.analytic.accompanying_cdf
-    monkeypatch.setattr(contamruns.analytic, "accompanying_cdf",
-                        lambda *a: calls.append(a[2]) or accompanying_cdf(*a))
+    law = contamruns.analytic.AccompanyingLaw
+    calls, derived = [], []
+    at, derive = law.at, contamruns.analytic.derive_constants
+    monkeypatch.setattr(law, "at", lambda self, k: calls.append(k) or at(self, k))
+    monkeypatch.setattr(contamruns.analytic, "derive_constants",
+                        lambda d: derived.append(d) or derive(d))
     path = tmp_path / "ints.csv"
     write_empirical_csv(path, EmpiricalDistribution.from_samples(range(-3, 4)), {})
     code, _, err = run_cli(capsys, "compare", str(path), "--ref", "accompanying",
                            *THIRDS_ARGS, "--N", "1000")
     assert code == 0, err
     assert sorted(calls) == list(range(-3, 5))
+    assert len(derived) == 1
+
+
+def test_compare_prints_integer_values_exactly(capsys, tmp_path):
+    # 2^53 + 1 has no double; it prints as the CSV holds it
+    path = tmp_path / "wide.csv"
+    path.write_text("value,count,ecdf\n-1,1,0.5\n9007199254740993,1,1.0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "compare", str(path), "--ref", "exp1")
+    assert code == 0, err
+    assert [line.split(",")[0] for line in out.splitlines()[2:]] == ["-1", "9007199254740993"]
+    code, out, err = run_cli(capsys, "--json", "compare", str(path), "--ref", "exp1")
+    assert code == 0, err
+    assert [row["value"] for row in json.loads(out)["table"]] == [-1, 9007199254740993]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_json_output_is_strict(capsys):
+    # the exponent past the vertex is infinite; JSON has no Infinity
+    code, out, err = run_cli(capsys, "--json", "analytic", "accompanying", *THIRDS_ARGS,
+                             "--N", "1000000", "--k", "-700")
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    assert payload == {"cdf": 0.0, "clamped": True, "exponent": None}
+
+
+def test_h_is_answered_where_k_leaves_the_double_range(capsys):
+    # K needs C1^2 ~ 10^400; H does not use K, m(N) and the CDF do
+    tiny = Fraction(1, 10 ** 200)
+    dist = ["--p", "1/2", "--q1", str(tiny), "--q2", str(Fraction(1, 2) - tiny)]
+    code, out, err = run_cli(capsys, "analytic", "H", *dist, "--N", "1000", "--x", "0.5")
+    assert code == 0, err
+    assert out.splitlines()[0] == "H(0.5) = 1.2033079317726258e+197"
+    for query in (("mN",), ("accompanying", "--k", "0")):
+        code, _, err = run_cli(capsys, "analytic", *query, *dist, "--N", "1000")
+        assert code == EXIT_VALIDATION and "K is past the double range" in err
