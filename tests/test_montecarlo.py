@@ -1,6 +1,8 @@
 """Monte Carlo experiments: reproducibility, statistics, distances."""
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +63,25 @@ def test_extending_s_preserves_prefix():
     assert np.array_equal(small.support, again.support)
     assert np.array_equal(small.weights, again.weights)
     assert large.total == 20 and small.total == 10
+
+
+GOLDEN_LAWS = json.loads((Path(__file__).parent / "golden_laws.json").read_text())
+
+
+@pytest.mark.parametrize("run", GOLDEN_LAWS,
+                         ids=lambda r: f"{r['mode']}-p{r['p']}-s{r['s']}")
+def test_seeded_laws_are_pinned(run):
+    # recorded before the scan worked on failure positions only; the
+    # 2.5e6-symbol runs span three draw chunks, so the cross-chunk carry
+    # is exercised on real draws
+    p = Fraction(run["p"])
+    dist = TrialDistribution(p, (1 - p) / 2, (1 - p) / 2)
+    cfg = ExperimentConfig(dist=dist, N=run["N"], s=run["s"], seed=5, mode=run["mode"],
+                           m=run["m"])
+    experiment = run_longest_experiment if run["mode"] == "longest" else run_hitting_experiment
+    law = experiment(cfg).empirical
+    assert law.support.tolist() == run["support"]
+    assert law.weights.tolist() == run["weights"]
 
 
 def test_worker_count_is_invisible():

@@ -33,17 +33,16 @@ def test_longest_run_examples():
 
 
 def test_suffix_trace_examples():
-    scanner = ChunkScanner()
-    trace = scanner.suffix_lengths(np.array([0, 1, 2, 0], dtype=np.uint8))
-    assert trace.tolist() == [1, 2, 3, 4]
-    scanner = ChunkScanner()
-    trace = scanner.suffix_lengths(np.array([1, 1], dtype=np.uint8))
-    assert trace.tolist() == [1, 1]
+    # the run length at each position of [0, 1, 0, 2, 1] is 1, 2, 3, 4, 3:
     # after the second type-I failure only positions 3..5 qualify
+    for seq, best in (([0, 1, 2, 0], 4), ([1, 1], 1), ([0, 1, 0, 2, 1], 4)):
+        assert scan_pieces([np.array(seq, dtype=np.uint8)]) == best
+        assert scan_pieces([np.array(seq, dtype=np.uint8)], best) == best
+        assert scan_pieces([np.array(seq, dtype=np.uint8)], best + 1) is None
     scanner = ChunkScanner()
-    trace = scanner.suffix_lengths(np.array([0, 1, 0, 2, 1], dtype=np.uint8))
-    assert trace.tolist() == [1, 2, 3, 4, 3]
-    assert scanner.best == 4
+    scanner.push(np.array([0, 1, 0, 2, 1], dtype=np.uint8))
+    scanner.push(np.array([0, 0], dtype=np.uint8))
+    assert scanner.best == 5  # the carried run of 3 grows to 5
 
 
 def test_first_hitting_examples():
@@ -60,11 +59,31 @@ def test_empty_sequences_rejected():
 
 def test_streaming_update_tracks_best():
     scanner = ChunkScanner()
+    bests = []
     for x in [0, 1, 0, 2, 1]:
-        trace = scanner.suffix_lengths(np.array([x], dtype=np.uint8))
-    # after the second type-I failure only positions 3..5 qualify
-    assert trace.tolist() == [3]
+        assert scanner.push_until_hit(np.array([x], dtype=np.uint8), 5) is None
+        bests.append(scanner.best)
+    assert bests == [1, 2, 3, 4, 4] and scanner.position == 5
+    # after the second type-I failure only positions 3..5 qualify, so the
+    # run reaches 4 again at position 6
+    assert scanner.push_until_hit(np.array([0], dtype=np.uint8), 4) == 6
     assert scanner.best == 4
+
+
+@pytest.mark.parametrize("seq", [[0, 3, 0], [0, -1], [0, 1.5], [0.0, 256], [0, float("nan")],
+                                 np.array([0, 3], dtype=np.uint8), np.array([True, False]),
+                                 ["0", "1"], [[0, 1]]])
+def test_symbols_other_than_outcomes_rejected(seq):
+    with pytest.raises(ValidationError):
+        longest_run(seq)
+    with pytest.raises(ValidationError):
+        first_hitting(seq, 2)
+
+
+def test_integral_symbols_of_any_dtype_accepted():
+    assert longest_run(np.array([0.0, 1.0, 2.0, 1.0])) == 3
+    assert longest_run(np.array([1, 0, 1, 0], dtype=np.int64)) == 3
+    assert first_hitting((x for x in [1, 1, 0, 0, 0]), 3) == 4
 
 
 # --- property tests against brute force ------------------------------------
@@ -123,3 +142,41 @@ def test_chunked_scan_constant_state_across_many_chunks():
     assert scan_pieces(pieces) == whole
     for m in (5, 8, 12):
         assert scan_pieces(pieces, m) == first_hitting(arr, m)
+
+
+def reference_scan(seq, ms):
+    """The suffix recursion, one symbol at a time: with the second most
+    recent position of each failure type (0 while fewer than two have been
+    seen), the run ending at t has length L(t) = t - the larger of them."""
+    second, last = [0, 0, 0], [0, 0, 0]
+    best, hits = 0, dict.fromkeys(ms)
+    for t, x in enumerate(seq, 1):
+        if x:
+            second[x], last[x] = last[x], t
+        length = t - max(second[1], second[2])
+        best = max(best, length)
+        for m in ms:
+            if hits[m] is None and length >= m:
+                hits[m] = t
+    return best, hits
+
+
+@pytest.mark.parametrize("p", [1 / 3, 0.8])
+def test_scanner_matches_suffix_recursion(p):
+    rng = np.random.default_rng(2024)
+    u = rng.random(100_000)
+    arr = (u >= p).view(np.uint8) + (u >= p + (1 - p) / 2).view(np.uint8)
+    # cut at random points (some repeated, so some pieces are empty) and at
+    # a sample of the places where failures start or stop, so that some
+    # pieces hold only failures and others none
+    switches = np.flatnonzero(np.diff(arr != 0)) + 1
+    cuts = np.concatenate((rng.integers(0, arr.size + 1, 40), [0, 0, arr.size],
+                           rng.choice(switches, 200, replace=False)))
+    pieces = np.split(arr, np.sort(cuts))
+    kinds = {(piece.size > 0, bool(piece.all()), bool(piece.any())) for piece in pieces}
+    assert {(False, True, False), (True, True, True), (True, False, False)} <= kinds
+    ms = (1, 2, 7, 30)
+    best, hits = reference_scan(arr.tolist(), ms)
+    assert scan_pieces(pieces) == best
+    for m in ms:
+        assert scan_pieces(pieces, m) == hits[m]
