@@ -8,6 +8,7 @@ the experiment bit-identically.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -45,8 +46,12 @@ def read_empirical_csv(path) -> tuple[EmpiricalDistribution, dict]:
     support: list[float] = []
     weights: list[int] = []
     integer_support = True
-    with open(path, encoding="utf-8") as f:
-        lines = f.readlines()
+    data = Path(path).read_bytes()
+    try:  # universal newlines, as open() reads text
+        lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:  # on the line of the first undecodable byte
+        raise FileFormatError(f"not valid UTF-8: {exc.reason} at byte {exc.start}",
+                              data.count(b"\n", 0, exc.start) + 1) from None
     body_started = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -121,5 +126,5 @@ def write_manifest(path, manifest: RunManifest) -> None:
 def read_manifest(path) -> RunManifest:
     try:
         return RunManifest(**json.loads(Path(path).read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (json.JSONDecodeError, TypeError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"bad manifest: {exc}") from None

@@ -118,6 +118,10 @@ class ExperimentResult:
 
 
 def _map_reps(fn: Callable[[int], float], s: int, workers: int) -> list:
+    # Freeing one block just under glibc's 32 MiB mmap cap lifts its mmap and
+    # trim thresholds to ~31 and ~62 MiB: every chunk's temporaries then stay
+    # on the heap, not mapped and page-faulted per repetition (other libcs: no-op).
+    np.empty(31 << 20, np.uint8)
     if workers <= 1:
         return [fn(i) for i in range(s)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -166,11 +170,6 @@ def run_hitting_experiment(cfg: ExperimentConfig, workers: int = 1) -> Experimen
                 return hit * scale
         return math.nan  # capped; excluded from the empirical law
 
-    # A chunk's scan temporaries sit just under glibc's initial 128 KB mmap
-    # threshold; freed, they are trimmed off the heap top and page-faulted
-    # back on the next chunk.  Releasing one full-size draw buffer raises
-    # glibc's dynamic mmap and trim thresholds past them (a no-op elsewhere).
-    np.empty(_CHUNK)
     scaled = np.asarray(_map_reps(one, cfg.s, workers))
     capped = int(np.isnan(scaled).sum())
     return ExperimentResult(

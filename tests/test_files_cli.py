@@ -64,10 +64,12 @@ def test_empirical_csv_round_trip_floats(tmp_path):
     ("value,count,ecdf\n1,1,0.5\n9223372036854775808,1,1.0\n", 3),  # past int64
     ("value,count,ecdf\n-9223372036854775809,1,1.0\n", 2),
     ("value,count,ecdf\n1,9223372036854775808,1.0\n", None),
+    ("\xff\xfevalue,count,ecdf\n1,1,1.0\n", 1),  # not UTF-8
+    ("value,count,ecdf\n1,1,0.5\n2,1,1.0\xe9\n", 3),
 ])
 def test_malformed_csv_raises_with_line(tmp_path, body, bad_line):
     path = tmp_path / "bad.csv"
-    path.write_text(body, encoding="utf-8")
+    path.write_bytes(body.encode("latin-1"))  # one byte per character
     with pytest.raises(FileFormatError) as exc:
         read_empirical_csv(path)
     if bad_line is not None:
@@ -91,9 +93,10 @@ def test_manifest_round_trip(tmp_path):
 
 def test_manifest_rejects_garbage(tmp_path):
     path = tmp_path / "manifest.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(FileFormatError):
-        read_manifest(path)
+    for body in (b"{not json", b'{"config": "\xff"}\n'):
+        path.write_bytes(body)
+        with pytest.raises(FileFormatError):
+            read_manifest(path)
 
 
 # --- CLI ------------------------------------------------------------------
@@ -238,6 +241,17 @@ def test_compare_against_accompanying_uses_metadata(capsys, tmp_path):
     payload = json.loads(out)
     assert 0 <= payload["sup_distance"] <= 1
     assert all({"value", "ecdf", "reference_cdf"} <= set(row) for row in payload["table"])
+
+
+def test_compare_refuses_a_csv_that_is_not_utf8(capsys, tmp_path):
+    binary = tmp_path / "bin.csv"
+    binary.write_bytes(b"\xff\xfevalue,count,ecdf\n1,1,1.0\n")
+    good = tmp_path / "good.csv"
+    good.write_text("value,count,ecdf\n1,1,1.0\n", encoding="utf-8")
+    for argv in ((str(binary),), (str(good), "--ref", str(binary))):
+        code, _, err = run_cli(capsys, "compare", *argv)
+        assert code == EXIT_VALIDATION
+        assert err.startswith("parse error: line 1:") and "UTF-8" in err
 
 
 # --- exact values past the digit limit, size cap, measured eps ------------------

@@ -1,6 +1,8 @@
 """Monte Carlo experiments: reproducibility, statistics, distances."""
 import json
 import math
+import platform
+import resource
 from fractions import Fraction
 from pathlib import Path
 
@@ -120,6 +122,19 @@ def test_hitting_scaled_values_positive():
     mean = float(np.average(result.empirical.support,
                             weights=result.empirical.weights))
     assert 0.6 < mean < 1.4
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap warm-up acts on glibc's dynamic mmap threshold")
+def test_longest_repetitions_reuse_the_heap():
+    # 3 * 2^20 symbols span several draw chunks per repetition; once the
+    # first run has grown the heap, the second maps and faults no new pages
+    cfg = ExperimentConfig(dist=THIRDS, N=3 << 20, s=2, seed=3, mode="longest")
+    run_longest_experiment(cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_longest_experiment(cfg)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 500
 
 
 def test_empirical_longest_law_matches_dp():
