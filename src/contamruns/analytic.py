@@ -42,7 +42,8 @@ def _check_exact_size(dist: TrialDistribution, m: int) -> None:
     if bits > EXACT_MAX_BITS:
         raise SizeError(
             f"exact closed forms at m={m} need p^m with ~{bits} bits "
-            f"(> cap {EXACT_MAX_BITS}); pass float probabilities for a float evaluation"
+            f"(> cap {EXACT_MAX_BITS}); use a smaller m, or p, q1 and q2 with fewer digits "
+            f"(a smaller common denominator)"
         )
 
 

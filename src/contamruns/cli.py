@@ -223,7 +223,8 @@ def _experiment_config(args) -> tuple[mc.ExperimentConfig, float]:
     if args.figure is not None:
         _fill_unset(args, zip(("p", "q1", "q2", "N", "s", "m"), FIGURE_PRESETS[args.figure]))
     _require(args, "s", "N" if args.mode == "longest" else "m")
-    N, s = args.N, args.s
+    N = args.N if args.mode == "longest" else None  # hitting runs are unbounded
+    s = args.s
     scale = args.scale
     if scale is not None:
         if not (0 < scale <= 1):

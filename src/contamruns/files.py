@@ -47,11 +47,12 @@ def read_empirical_csv(path) -> tuple[EmpiricalDistribution, dict]:
     weights: list[int] = []
     integer_support = True
     data = Path(path).read_bytes()
-    try:  # universal newlines, as open() reads text
-        lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    try:  # universal newlines, as open() reads text; a leading byte-order mark is skipped
+        lines = io.StringIO(data.decode("utf-8-sig"), newline=None).readlines()
     except UnicodeDecodeError as exc:  # on the line of the first undecodable byte
-        raise FileFormatError(f"not valid UTF-8: {exc.reason} at byte {exc.start}",
-                              data.count(b"\n", 0, exc.start) + 1) from None
+        start = exc.start + len(data) - len(exc.object)  # exc.object lacks the mark
+        raise FileFormatError(f"not valid UTF-8: {exc.reason} at byte {start}",
+                              data.count(b"\n", 0, start) + 1) from None
     body_started = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

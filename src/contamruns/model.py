@@ -35,6 +35,14 @@ def _is_exact(x) -> bool:
     return isinstance(x, Rational)
 
 
+def _approx(x) -> str:
+    """x for a message, as a float or past the double range as a power of
+    ten: str() of a Fraction can pass the interpreter's int-to-str limit."""
+    if not _is_exact(x) or abs(x) <= sys.float_info.max:
+        return repr(float(x))
+    return f"{'-' if x < 0 else ''}10^{math.log10(abs(int(x))):.1f}"
+
+
 @dataclass(frozen=True)
 class TrialDistribution:
     """Probability triple (p, q1, q2) of a single trinary trial.
@@ -51,10 +59,12 @@ class TrialDistribution:
         for name in ("p", "q1", "q2"):
             v = getattr(self, name)
             if not v > 0:
-                raise ValidationError(f"{name} must be > 0, got {v}")
+                raise ValidationError(f"{name} must be > 0, got {_approx(v)}")
         if not self.p < 1:
-            raise ValidationError(f"p must be < 1, got {self.p}")
+            raise ValidationError(f"p must be < 1, got {_approx(self.p)}")
         total = self.p + self.q1 + self.q2
+        if total != 1 and self.is_exact:  # within the tolerance, the exact routes would disagree
+            raise ValidationError(f"exact p + q1 + q2 must equal 1, got 1 + ({_approx(total - 1)})")
         if abs(float(total) - 1.0) > SIMPLEX_TOL:
             raise ValidationError(
                 f"p + q1 + q2 must equal 1 within {SIMPLEX_TOL}, got {float(total)!r}"
@@ -129,18 +139,10 @@ def is_window_valid(window) -> bool:
     Depends only on symbol counts, so any ordering of the same multiset
     gives the same answer.
     """
-    n_plus = 0
-    n_minus = 0
-    n = 0
-    for x in window:
-        n += 1
-        if x == Outcome.FAIL_PLUS:
-            n_plus += 1
-        elif x == Outcome.FAIL_MINUS:
-            n_minus += 1
-    if n == 0:
+    window = list(window)
+    if not window:
         raise ValidationError("window must be non-empty")
-    return n_plus <= 1 and n_minus <= 1
+    return window.count(Outcome.FAIL_PLUS) <= 1 and window.count(Outcome.FAIL_MINUS) <= 1
 
 
 def check_window_length(m: int, minimum: int = 1) -> int:

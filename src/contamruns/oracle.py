@@ -14,12 +14,11 @@ Two independent routes:
   Perron root has converged (Fu & Johnson, Adv. Appl. Prob. 41 (2009)
   292-308) and extrapolates the remaining steps.
 
-Enumeration never consults the closed forms: probabilities come from
-counting sequences by their (#type-I, #type-II) failure counts.
+Enumeration never consults the closed forms: each probability is one
+weighted count of the sequences by (statistic, #type-I, #type-II).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Callable
@@ -32,75 +31,62 @@ ENUM_MAX_N = 14
 DEFAULT_BUDGET = 10 ** 9
 
 
-def _prob_from_counts(dist: TrialDistribution, n: int, counts: np.ndarray):
-    """Sum of sequence probabilities given counts[n1, n2] of sequences."""
-    p, q1, q2 = (dist.p, dist.q1, dist.q2) if dist.is_exact else dist.as_floats()
-    total = 0
-    for n1, n2 in zip(*np.nonzero(counts)):
-        c = int(counts[n1, n2])
-        total += c * p ** (n - int(n1) - int(n2)) * q1 ** int(n1) * q2 ** int(n2)
-    return total
-
-
-def _check_enum_size(n: int) -> None:
+def _all_sequences(n: int) -> np.ndarray:
+    """All 3^n sequences as rows of a (3^n, n) uint8 array, in itertools.product order."""
     if n > ENUM_MAX_N:
         raise SizeError(f"enumeration limited to n <= {ENUM_MAX_N} (3^n sequences), got n={n}")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    return np.indices((3,) * n, dtype=np.uint8).reshape(n, -1).T
+
+
+def _law(dist: TrialDistribution, codes: np.ndarray, key: np.ndarray) -> dict:
+    """{v: P(key = v)} for each nonzero v of `key`, a small int or bool per row:
+    the rows are counted by (key, #type-I, #type-II) and each count is
+    weighted by p^#S q1^#I q2^#II, summed in (#type-I, #type-II) order."""
+    n = codes.shape[1]
+    selected = np.flatnonzero(key)
+    rows = codes[selected]
+    n1 = (rows == int(Outcome.FAIL_PLUS)).sum(axis=1, dtype=np.uint8)  # n <= 14
+    n2 = (rows == int(Outcome.FAIL_MINUS)).sum(axis=1, dtype=np.uint8)
+    counts = np.bincount((key[selected].astype(np.intp) * (n + 1) + n1) * (n + 1) + n2)
+    p, q1, q2 = (dist.p, dist.q1, dist.q2) if dist.is_exact else dist.as_floats()
+    law = {}
+    for cell in np.flatnonzero(counts).tolist():  # cell = (v (n+1) + a) (n+1) + b
+        v, a, b = cell // (n + 1) ** 2, cell // (n + 1) % (n + 1), cell % (n + 1)
+        law[v] = law.get(v, 0) + int(counts[cell]) * p ** (n - a - b) * q1 ** a * q2 ** b
+    return law
 
 
 def enumerate_event(dist: TrialDistribution, n: int,
                     predicate: Callable[[tuple[int, ...]], bool]):
-    """Probability of {predicate holds} over all 3^n outcome sequences."""
-    _check_enum_size(n)
-    counts = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for seq in itertools.product((0, 1, 2), repeat=n):
-        if predicate(seq):
-            counts[seq.count(1), seq.count(2)] += 1
-    return _prob_from_counts(dist, n, counts)
-
-
-def _all_sequences(n: int) -> np.ndarray:
-    """All 3^n sequences as rows of a (3^n, n) uint8 array."""
-    return np.indices((3,) * n, dtype=np.uint8).reshape(n, -1).T
+    """Probability of {predicate holds} over all 3^n outcome sequences (tuples of ints)."""
+    codes = _all_sequences(n)
+    holds = np.fromiter((predicate(tuple(row.tolist())) for row in codes), dtype=bool,
+                        count=codes.shape[0])
+    return _law(dist, codes, holds).get(True, 0)
 
 
 def _suffix_length_columns(codes: np.ndarray):
     """Yield (t, L_t) per position for every row of `codes` at once."""
-    rows, n = codes.shape
-    last_p = np.zeros(rows, dtype=np.int32)
-    prev_p = np.zeros(rows, dtype=np.int32)
-    last_m = np.zeros(rows, dtype=np.int32)
-    prev_m = np.zeros(rows, dtype=np.int32)
-    for t in range(1, n + 1):
+    # the valid suffix starts after `start`; a failure moves it up to the last of its type
+    start, last_plus, last_minus = np.zeros((3, codes.shape[0]), dtype=np.int32)
+    for t in range(1, codes.shape[1] + 1):
         col = codes[:, t - 1]
-        is_p = col == int(Outcome.FAIL_PLUS)
-        is_m = col == int(Outcome.FAIL_MINUS)
-        prev_p[is_p] = last_p[is_p]
-        last_p[is_p] = t
-        prev_m[is_m] = last_m[is_m]
-        last_m[is_m] = t
-        yield t, t - np.maximum(prev_p, prev_m)
-
-
-def _tally(dist: TrialDistribution, codes: np.ndarray, mask: np.ndarray):
-    n = codes.shape[1]
-    sel = codes[mask]
-    n1 = (sel == int(Outcome.FAIL_PLUS)).sum(axis=1).astype(np.int64)
-    n2 = (sel == int(Outcome.FAIL_MINUS)).sum(axis=1).astype(np.int64)
-    counts = np.zeros((n + 1, n + 1), dtype=np.int64)
-    np.add.at(counts, (n1, n2), 1)
-    return _prob_from_counts(dist, n, counts)
+        for last, kind in ((last_plus, Outcome.FAIL_PLUS), (last_minus, Outcome.FAIL_MINUS)):
+            hit = col == int(kind)
+            np.maximum(start, last * hit, out=start)  # last * hit is 0 off the hits
+            last[hit] = t
+        yield t, t - start
 
 
 def window_probability_by_enumeration(dist: TrialDistribution, m: int):
     """P(A1) by counting valid m-windows (independent of the closed form)."""
     check_window_length(m, 1)
-    _check_enum_size(m)
     codes = _all_sequences(m)
-    valid = ((codes == int(Outcome.FAIL_PLUS)).sum(axis=1) <= 1) \
-        & ((codes == int(Outcome.FAIL_MINUS)).sum(axis=1) <= 1)
-    return _tally(dist, codes, valid)
+    valid = ((codes == int(Outcome.FAIL_PLUS)).sum(axis=1, dtype=np.uint8) <= 1) \
+        & ((codes == int(Outcome.FAIL_MINUS)).sum(axis=1, dtype=np.uint8) <= 1)
+    return _law(dist, codes, valid)[True]
 
 
 def joint_survival_by_enumeration(dist: TrialDistribution, m: int):
@@ -109,17 +95,14 @@ def joint_survival_by_enumeration(dist: TrialDistribution, m: int):
     Window j is valid iff the suffix length at position j+m-1 is >= m.
     """
     check_window_length(m, 2)
-    n = 2 * m - 1
-    _check_enum_size(n)
-    codes = _all_sequences(n)
-    first_valid = None
+    codes = _all_sequences(2 * m - 1)
     later_valid = np.zeros(codes.shape[0], dtype=bool)
     for t, lengths in _suffix_length_columns(codes):
         if t == m:
             first_valid = lengths >= m
         elif t > m:
             later_valid |= lengths >= m
-    return _tally(dist, codes, first_valid & ~later_valid)
+    return _law(dist, codes, first_valid & ~later_valid).get(True, 0)
 
 
 def enumerate_conditional(dist: TrialDistribution, m: int):
@@ -131,12 +114,11 @@ def enumerate_conditional(dist: TrialDistribution, m: int):
 
 def longest_run_distribution_by_enumeration(dist: TrialDistribution, n: int) -> dict:
     """Exact PMF of mu(n) as {length: probability} over all 3^n sequences."""
-    _check_enum_size(n)
     codes = _all_sequences(n)
     best = np.zeros(codes.shape[0], dtype=np.int32)
     for _, lengths in _suffix_length_columns(codes):
         np.maximum(best, lengths, out=best)
-    return {mu: _tally(dist, codes, best == mu) for mu in np.unique(best)}
+    return _law(dist, codes, best)
 
 
 def longest_cdf_by_enumeration(dist: TrialDistribution, N: int, m: int):

@@ -58,7 +58,7 @@ PAIRS = [(Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 2), Fraction(3, 10)),
          (Fraction(4, 5), Fraction(1, 10)), (Fraction(1, 2), Fraction(1, 2) - TINY),
          (Fraction(1, 2), TINY), (1 - 2 * TINY, TINY), (TINY, Fraction(1, 2)),
          (Fraction(1, 2), Fraction(1, 2))]
-# triples off one by less than the simplex tolerance, 1e-12
+# triples off one by less than the float tolerance, 1e-12: as Fractions they are refused
 NEAR = [("1/2", "0.5", "1e-300"), ("0.9999999999999", "1e-170", "1e-170"),
         ("0.9999999999999", "4e-14", "6e-14")]
 garbage = st.sampled_from(["", "abc", "1/0", "-1", "nan", "inf", "1/10^300", "0x10",

@@ -66,6 +66,7 @@ def test_empirical_csv_round_trip_floats(tmp_path):
     ("value,count,ecdf\n1,9223372036854775808,1.0\n", None),
     ("\xff\xfevalue,count,ecdf\n1,1,1.0\n", 1),  # not UTF-8
     ("value,count,ecdf\n1,1,0.5\n2,1,1.0\xe9\n", 3),
+    ("\xef\xbb\xbfvalue,count,ecdf\n1,1,0.5\n2,1,1.0\xe9\n", 3),  # after a byte-order mark
 ])
 def test_malformed_csv_raises_with_line(tmp_path, body, bad_line):
     path = tmp_path / "bad.csv"
@@ -205,10 +206,10 @@ def test_experiment_reproducible_from_manifest(capsys, tmp_path):
     run_cli(capsys, "--out", str(tmp_path / "a"), *args)
     manifest = read_manifest(next((tmp_path / "a").glob("*_manifest.json")))
     cfg = manifest.config
+    assert cfg["N"] is None  # a hitting run has no N to rerun with
     run_cli(capsys, "--out", str(tmp_path / "b"), "--seed", str(cfg["seed"]),
             "experiment", "--mode", cfg["mode"], "--p", cfg["p"], "--q1", cfg["q1"],
-            "--q2", cfg["q2"], "--N", str(cfg["N"]), "--s", str(cfg["s"]),
-            "--m", str(cfg["m"]))
+            "--q2", cfg["q2"], "--s", str(cfg["s"]), "--m", str(cfg["m"]))
     first = next((tmp_path / "a").glob("*_empirical.csv")).read_text()
     second = next((tmp_path / "b").glob("*_empirical.csv")).read_text()
     assert first == second
@@ -241,6 +242,18 @@ def test_compare_against_accompanying_uses_metadata(capsys, tmp_path):
     payload = json.loads(out)
     assert 0 <= payload["sup_distance"] <= 1
     assert all({"value", "ecdf", "reference_cdf"} <= set(row) for row in payload["table"])
+
+
+def test_compare_reads_a_csv_that_starts_with_a_byte_order_mark(capsys, tmp_path):
+    # as spreadsheet programs write UTF-8: the mark before the header or a metadata line
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfvalue,count,ecdf\n1,1,1.0\n")
+    code, _, err = run_cli(capsys, "compare", str(path), "--ref", "exp1")
+    assert code == 0, err
+    path.write_bytes(b"\xef\xbb\xbf# mode=hitting\nvalue,count,ecdf\n1,1,1.0\n")
+    code, out, err = run_cli(capsys, "--json", "compare", str(path))
+    assert code == 0, err
+    assert json.loads(out)["reference"] == "exp1"  # the law of the mode read from line 1
 
 
 def test_compare_refuses_a_csv_that_is_not_utf8(capsys, tmp_path):
@@ -288,6 +301,18 @@ def test_huge_window_is_refused(capsys):
         code, _, err = run_cli(capsys, "analytic", query, *THIRDS_ARGS,
                                "--m", "1000000", "--N", "1000")
         assert code == EXIT_BUDGET and "cap" in err
+
+
+def test_exact_size_refusal_gives_advice_the_cli_can_follow(capsys, tmp_path):
+    # parse_prob makes every probability a Fraction, so a CLI user cannot pass floats
+    dist = ("--p", "0.3333333", "--q1", "0.3333333", "--q2", "0.3333334")
+    for argv in (("analytic", "pA1", *dist, "--m", "5000"),
+                 ("analytic", "bounds", *dist, "--m", "5000", "--N", "10000"),
+                 ("--out", str(tmp_path), "experiment", "--mode", "hitting", *dist,
+                  "--m", "5000", "--s", "1")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_BUDGET and "smaller m" in err and "fewer digits" in err, err
+        assert "float" not in err
 
 
 def test_bounds_default_eps_is_the_exact_discrepancy(capsys):
@@ -400,7 +425,7 @@ def test_bounds_upper_is_capped_at_one(capsys, m, N):
 # --- inputs past the double range, the DP budget, the thread cap ----------------
 
 BIG = str(10 ** 350)
-TINY_Q2_ARGS = ("--p", "1/2", "--q1", "0.5", "--q2", "1e-300")
+TINY_Q2_ARGS = ("--p", "1/2", "--q1", "0.4" + "9" * 299, "--q2", "1e-300")  # sums to exactly 1
 
 
 @pytest.mark.parametrize("argv,names", [
@@ -415,6 +440,28 @@ TINY_Q2_ARGS = ("--p", "1/2", "--q1", "0.5", "--q2", "1e-300")
 def test_out_of_range_inputs_are_refused_by_name(capsys, argv, names):
     code, _, err = run_cli(capsys, "analytic", *argv)
     assert code == EXIT_VALIDATION and names in err
+
+
+@pytest.mark.parametrize("query", ["window", "pA1"])
+def test_an_exact_triple_must_sum_to_exactly_one(capsys, query):
+    # within 1e-12 of one, yet the enumeration and the closed form printed two
+    # different "exact" values for it
+    command = ("oracle",) if query == "window" else ("analytic",)
+    code, _, err = run_cli(capsys, *command, query, "--p", "1/3", "--q1", "1/3",
+                           "--q2", "0.3333333333333333", "--m", "3")
+    assert code == EXIT_VALIDATION and "must equal 1" in err
+
+
+@pytest.mark.parametrize("dist_args,message", [
+    (("--p", "1e5000", "--q1", "1/3", "--q2", "1/3"), "p must be < 1, got 10^5000.0"),
+    (("--p", "1/3", "--q1", "1e400", "--q2", "1/3"), "must equal 1, got 1 + (10^400.0)"),
+    (("--p", "1/3", "--q1=-1e-5000", "--q2", "1/3"), "q1 must be > 0, got -0.0"),
+    (("--p=-1e5000", "--q1", "1/3", "--q2", "1/3"), "p must be > 0, got -10^5000.0"),
+])
+def test_probabilities_past_the_double_range_are_refused_by_name(capsys, dist_args, message):
+    # their str() passes the int-to-str digit limit, or float() overflows
+    code, _, err = run_cli(capsys, "analytic", "pA1", *dist_args, "--m", "3")
+    assert code == EXIT_VALIDATION and message in err, err
 
 
 def test_huge_n_and_tiny_probabilities_give_finite_values(capsys):
@@ -499,6 +546,17 @@ def test_hitting_experiment_needs_no_n(capsys, tmp_path):
     code, _, err = run_cli(capsys, "--out", str(tmp_path), "experiment", *THIRDS_ARGS,
                            "--s", "5")
     assert code == EXIT_USAGE and "--N" in err
+
+
+def test_hitting_runs_record_no_n(capsys, tmp_path):
+    # the figure preset's N (or --N) does not bound a hitting run, so it is not recorded
+    code, out, _ = run_cli(capsys, "--json", "--out", str(tmp_path), "experiment",
+                           "--mode", "hitting", "--figure", "1", "--m", "10", "--s", "30")
+    assert code == 0
+    payload = json.loads(out)
+    assert read_manifest(payload["manifest"]).config["N"] is None
+    with open(payload["outputs"]["empirical"], encoding="utf-8") as f:
+        assert "# N=\n" in f.readlines()
 
 
 # --- where a missing input comes from: flags first, then presets or metadata -------

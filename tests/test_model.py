@@ -32,6 +32,10 @@ def test_outcome_codes():
     (0.5, -0.1, 0.6),
     (0.5, 0.3, 0.3),          # sums to 1.1
     (0.3, 0.3, 0.3),          # sums to 0.9
+    # exact triples must sum to exactly 1, however close they come
+    (Fraction(1, 3), Fraction(1, 3), Fraction(3333333333333333, 10 ** 16)),
+    (Fraction(1, 2), Fraction(1, 2), Fraction(1, 10 ** 300)),
+    (Fraction(1, 3), Fraction(10 ** 400), Fraction(1, 3)),  # past the double range
 ])
 def test_distribution_rejects_bad_triples(p, q1, q2):
     with pytest.raises(ValidationError):
@@ -41,6 +45,7 @@ def test_distribution_rejects_bad_triples(p, q1, q2):
 def test_distribution_accepts_float_and_fraction():
     d = TrialDistribution(0.5, 0.3, 0.2)
     assert not d.is_exact
+    TrialDistribution(0.5, 0.5, 1e-300)  # floats keep the 1e-12 tolerance
     assert THIRDS.is_exact
     assert THIRDS.as_floats() == (pytest.approx(1 / 3), pytest.approx(1 / 3),
                                   pytest.approx(1 / 3))
