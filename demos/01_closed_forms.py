@@ -13,11 +13,11 @@ from fractions import Fraction
 from contamruns import (
     TrialDistribution,
     alpha_correction,
-    cfk_bounds,
     conditional_survival,
     derive_constants,
     dp_longest_cdf,
     enumerate_conditional,
+    sandwich,
     window_probability,
     window_probability_by_enumeration,
 )
@@ -52,11 +52,11 @@ for m in (4, 6):
           f"enumeration agrees: {exact == enumerate_conditional(thirds, m)}")
 
 # the sandwich: exp(-(alpha +- 10 eps) N P(A1) -+ 2m P(A1)) brackets the
-# probability that no window among N qualifies; eps is measured as the
-# gap between the largest enumerable conditional survival and alpha
+# probability that no window among N qualifies; eps is the smallest value
+# the lemma's hypotheses allow, max(|P(Abar_2..Abar_m | A1) - alpha|, m P(A1)),
+# and m = 10 is the first window length at thirds where it is below 1/42
 m, N = 10, 10_000
-alpha = float(alpha_correction(thirds, m).alpha)
-eps = abs(float(enumerate_conditional(thirds, 7)) - alpha)
-lo, hi = cfk_bounds(alpha, eps, N - m + 1, m, float(window_probability(thirds, m)))
+b = sandwich(thirds, m, N - m + 1)
 truth = dp_longest_cdf(thirds, N, m, mode="float")
-print(f"m={m}, N={N}: {lo:.3e} < P(no qualifying window) = {truth:.3e} < {hi:.3e}")
+print(f"m={m}, N={N}: {b.lower:.3e} < P(no qualifying window) = {truth:.3e} < {b.upper:.3e}"
+      f" (eps = {b.eps:.3g})")

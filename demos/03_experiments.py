@@ -41,7 +41,7 @@ print(f"  offsets observed: {emp.support.tolist()}")
 print(f"  sup-distance to accompanying CDF: {distance:.4f}")
 
 # --- hitting time: tau_m * alpha * P(A1) vs Exp(1) --------------------------
-cfg = ExperimentConfig(dist=thirds, N=1, s=1000, seed=SEED, mode="hitting", m=10)
+cfg = ExperimentConfig(dist=thirds, N=None, s=1000, seed=SEED, mode="hitting", m=10)
 result = run_hitting_experiment(cfg, workers=8)
 emp = result.empirical
 mean = float(np.average(emp.support, weights=emp.weights))

@@ -10,14 +10,13 @@ from .analytic import (
     accompanying_cdf,
     alpha_correction,
     cfk_bounds,
-    cfk_condition_check,
-    conditional_discrepancy,
     conditional_survival,
     exponent_l,
     h_function_terms,
     joint_survival_aggregated,
     joint_survival_casewise,
     m_of_n,
+    sandwich,
     theorem1_limit_cdf,
     window_probability,
 )

@@ -147,47 +147,39 @@ def conditional_survival(dist: TrialDistribution, m: int):
     return joint_survival_aggregated(dist, m) / window_probability(dist, m)
 
 
-def conditional_discrepancy(dist: TrialDistribution, m: int) -> float:
-    """|P(Abar_2 ... Abar_m | A1) - alpha|, the eps of the sandwich lemma.
-
-    The difference is taken before rounding: with exact inputs the two
-    terms agree to about p^m, which a difference of doubles loses.  The
-    result is 0.0 only when it underflows.
-    """
-    return float(abs(conditional_survival(dist, m) - alpha_correction(dist, m).alpha))
-
-
 @dataclass(frozen=True)
-class CfkReport:
-    """Checkable state of the three sandwich-lemma hypotheses."""
+class Sandwich:
+    """The sandwich lemma's bounds on P(no valid window among N), with its inputs."""
 
-    m: int
+    lower: float
+    upper: float
+    alpha: float
     eps: float
-    p_a1: float
-    siii_holds: bool          # P(A1) < eps/m
-    sii_sum: float            # sum_{i=m+1..2m} P(A_i|A1) = m P(A1)
-    sii_holds: bool           # m P(A1) < eps
-    si_discrepancy: float     # |conditional_survival - alpha|
+    pA1: float
+    degenerate: bool  # eps, and with it m P(A1), underflowed to 0.0
 
 
-def cfk_condition_check(dist: TrialDistribution, m: int, eps: float) -> CfkReport:
-    check_window_length(m, 2)
-    p = float(dist.p)
-    if not (0 < eps < min(p / 10, 1 / 42)):
-        raise ValidationError(
-            f"eps must lie in (0, min(p/10, 1/42)) = (0, {min(p / 10, 1 / 42)}), got {eps}"
-        )
-    p_a1 = float(window_probability(dist, m))
-    sii_sum = m * p_a1
-    return CfkReport(
-        m=m,
-        eps=eps,
-        p_a1=p_a1,
-        siii_holds=p_a1 < eps / m,
-        sii_sum=sii_sum,
-        sii_holds=sii_sum < eps,
-        si_discrepancy=conditional_discrepancy(dist, m),
-    )
+def sandwich(dist: TrialDistribution, m: int, N: int) -> Sandwich:
+    """Csaki-Foldes-Komlos sandwich over N windows, with the smallest eps its
+    hypotheses allow; a ValidationError unless eps < min(p/10, 1/42).
+
+    (i) asks |P(Abar_2 ... Abar_m | A1) - alpha| <= eps, the difference taken
+    before rounding (with exact inputs its terms agree to about p^m).  (ii) asks
+    sum_{i=m+1..2m} P(A_i | A1) <= eps, where the windows do not overlap the
+    first, so the sum is m P(A1); (iii), P(A1) < eps/m, is the same inequality.
+    """
+    alpha = alpha_correction(dist, m).alpha
+    pa1 = window_probability(dist, m)
+    survival = joint_survival_aggregated(dist, m) / pa1
+    eps = max(float(abs(survival - alpha)), m * float(pa1))
+    limit = min(float(dist.p) / 10, 1 / 42)
+    if not eps < limit:
+        raise ValidationError(f"the sandwich lemma needs eps < min(p/10, 1/42) = {limit!r}; "
+                              f"at m={m}, eps = max(|P(Abar_2..Abar_m | A1) - alpha|, "
+                              f"m P(A1)) = {eps!r}")
+    lower, upper = cfk_bounds(float(alpha), eps, N, m, float(pa1))
+    return Sandwich(lower=lower, upper=upper, alpha=float(alpha), eps=eps, pA1=float(pa1),
+                    degenerate=eps == 0.0)
 
 
 def cfk_bounds(alpha: float, eps: float, N: int, m: int, pA1: float) -> tuple[float, float]:

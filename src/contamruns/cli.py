@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 size/budget refusal,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -164,18 +165,11 @@ def cmd_analytic(args) -> int:
         _emit(args, {"cdf": v}, f"P(tau_m alpha P(A1) <= {args.x}) -> {v!r}")
     elif q == "bounds":
         _require(args, "m", "N")
-        dist = _dist(args)
-        alpha = float(an.alpha_correction(dist, args.m).alpha)
-        pa1 = float(an.window_probability(dist, args.m))
-        eps = an.conditional_discrepancy(dist, args.m)
-        degenerate = eps == 0.0  # the measured eps underflowed the double range
-        lo, hi = an.cfk_bounds(alpha, eps, args.N, args.m, pa1)
-        payload = {"lower": lo, "upper": hi, "alpha": alpha, "eps": eps, "pA1": pa1,
-                   "degenerate": degenerate}
-        _emit(args, payload,
-              f"{lo!r} < P(no valid window among {args.N}) < {hi!r} "
-              f"(alpha={alpha:.9g}, eps={eps:.3g})"
-              + (" (degenerate: the measured eps underflowed to 0)" if degenerate else ""))
+        b = an.sandwich(_dist(args), args.m, args.N)
+        _emit(args, dataclasses.asdict(b),
+              f"{b.lower!r} < P(no valid window among {args.N}) < {b.upper!r} "
+              f"(alpha={b.alpha:.9g}, eps={b.eps:.3g})"
+              + (" (degenerate: eps underflowed to 0)" if b.degenerate else ""))
     else:
         raise UsageError(f"unknown analytic quantity {q!r}")
     return 0

@@ -13,18 +13,19 @@ from contamruns.analytic import (
     accompanying_cdf_details,
     alpha_correction,
     cfk_bounds,
-    cfk_condition_check,
     conditional_survival,
     exponent_l,
     h_function_terms,
     joint_survival_aggregated,
     joint_survival_casewise,
     m_of_n,
+    sandwich,
     theorem1_limit_cdf,
     window_probability,
 )
 from contamruns.model import SizeError, TrialDistribution, ValidationError
 from contamruns.oracle import (
+    dp_longest_cdf,
     enumerate_conditional,
     joint_survival_by_enumeration,
     window_probability_by_enumeration,
@@ -152,22 +153,21 @@ def test_conditional_discrepancy_shrinks():
     assert d7 < d5
 
 
-def test_cfk_condition_check_large_m():
-    r = cfk_condition_check(THIRDS, 20, 0.01)
-    assert r.siii_holds and r.sii_holds
-    assert r.sii_sum == pytest.approx(20 * r.p_a1, rel=1e-12)
-
-
-def test_cfk_condition_check_small_m_fails_siii():
-    r = cfk_condition_check(THIRDS, 3, 1e-6)
-    assert not r.siii_holds
-
-
-def test_cfk_condition_check_rejects_eps_out_of_range():
-    with pytest.raises(ValidationError):
-        cfk_condition_check(THIRDS, 10, 0.2)
-    with pytest.raises(ValidationError):
-        cfk_condition_check(THIRDS, 10, 0.0)
+def test_every_admitted_sandwich_contains_the_dp_value():
+    # N windows of length m are N + m - 1 symbols; at thirds, m = 10, N = 1e4,
+    # P = 8.2518e-5 lies below the lower bound that eps = |survival - alpha| gives
+    admitted = []
+    for d in TRIPLES:
+        for m in (10, 12, 16, 20):
+            for N in (10 ** 2, 10 ** 4, 10 ** 5):
+                try:
+                    b = sandwich(d, m, N)
+                except ValidationError:
+                    continue
+                value = dp_longest_cdf(d, N + m - 1, m, mode="float", budget=math.inf)
+                assert b.lower <= value <= b.upper, (d, m, N)
+                admitted.append((d, m, N))
+    assert (THIRDS, 10, 10 ** 4) in admitted and len(admitted) == 18
 
 
 def test_cfk_bounds_shape():
@@ -257,7 +257,7 @@ def test_accompanying_cdf_frozen_values():
         3: 0.924555083067,
     }
     for k, expected in table.items():
-        assert accompanying_cdf(THIRDS, N_FIG1, k) == pytest.approx(expected, rel=1e-6)
+        assert accompanying_cdf(THIRDS, N_FIG1, k) == pytest.approx(expected, rel=1e-6, abs=0)
     assert accompanying_cdf(THIRDS, N_FIG1, 0) == pytest.approx(
         0.21536676193732844, rel=1e-9)
 

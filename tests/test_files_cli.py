@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import contamruns.analytic
 from contamruns.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -315,21 +316,43 @@ def test_exact_size_refusal_gives_advice_the_cli_can_follow(capsys, tmp_path):
         assert "float" not in err
 
 
-def test_bounds_default_eps_is_the_exact_discrepancy(capsys):
+def test_bounds_eps_is_the_smallest_the_lemma_allows(capsys):
     def bounds(m):
         code, out, _ = run_cli(capsys, "--json", "analytic", "bounds", *THIRDS_ARGS,
                                "--m", str(m), "--N", "1000000")
         assert code == 0
         return json.loads(out)
 
-    assert bounds(40)["eps"] == pytest.approx(3.6107703098908e-19, rel=1e-9)
+    # m P(A1) from hypotheses (ii) and (iii), larger than the discrepancy 3.6e-19 of (i)
+    at40 = bounds(40)
+    assert at40["eps"] == pytest.approx(5.3990628563562815e-15, rel=1e-9, abs=0)
+    assert at40["eps"] == 40 * at40["pA1"]
     far = bounds(300)
     assert far["eps"] > 0 and not far["degenerate"]
-    underflow = bounds(1000)  # |survival - alpha| ~ 3^-1000 < 5e-324
+    underflow = bounds(1000)  # P(A1) ~ 3^-1000 < 5e-324
     assert underflow["eps"] == 0.0 and underflow["degenerate"]
     _, human, _ = run_cli(capsys, "analytic", "bounds", *THIRDS_ARGS,
                           "--m", "1000", "--N", "1000000")
     assert "degenerate" in human
+
+
+@pytest.mark.parametrize("m", [3, 4, 8, 9])
+def test_bounds_refuses_where_the_lemma_does_not_apply(capsys, m):
+    # at thirds m P(A1) >= 1/42 up to m = 9 (0.0416), so no eps meets the hypotheses
+    code, _, err = run_cli(capsys, "analytic", "bounds", *THIRDS_ARGS,
+                           "--m", str(m), "--N", "100")
+    assert code == EXIT_VALIDATION
+    assert f"m={m}" in err and "eps = " in err and "min(p/10, 1/42) = 0.0238" in err, err
+
+
+def test_bounds_evaluates_alpha_and_the_window_probability_once(capsys, monkeypatch):
+    calls = []
+    for name in ("alpha_correction", "window_probability"):
+        fn = getattr(contamruns.analytic, name)
+        monkeypatch.setattr(contamruns.analytic, name,
+                            lambda d, m, fn=fn, name=name: calls.append(name) or fn(d, m))
+    code, _, _ = run_cli(capsys, "analytic", "bounds", *THIRDS_ARGS, "--m", "10", "--N", "10000")
+    assert code == 0 and sorted(calls) == ["alpha_correction", "window_probability"]
 
 
 # --- compare without metadata, hitting refusals, one reference path -------------
@@ -412,9 +435,9 @@ def test_hitting_tail_is_the_longest_run_cdf(capsys):
     assert value("hitting-tail", 30) == value("longest-cdf", 30)
 
 
-@pytest.mark.parametrize("m,N", [(3, 100_000), (4, 100_000), (4, 100)])
+@pytest.mark.parametrize("m,N", [(10, 1), (10, 60), (12, 40)])
 def test_bounds_upper_is_capped_at_one(capsys, m, N):
-    # alpha < 10 eps at these small m, so the upper exponent is positive
+    # with few windows 2m P(A1) outweighs (alpha - 10 eps) N P(A1): the upper exponent is positive
     code, out, _ = run_cli(capsys, "--json", "analytic", "bounds", *THIRDS_ARGS,
                            "--m", str(m), "--N", str(N))
     assert code == 0
@@ -480,8 +503,10 @@ def test_huge_n_and_tiny_probabilities_give_finite_values(capsys):
     alpha = value("alpha", *TINY_Q2_ARGS, "--m", "10")
     assert alpha["alpha"] == pytest.approx(4 / 11, rel=1e-12)
     assert alpha["numerator"] == pytest.approx(2e299 / 9, rel=1e-12)
-    bounds = value("bounds", *TINY_Q2_ARGS, "--m", "10", "--N", "1000")
+    bounds = value("bounds", *TINY_Q2_ARGS, "--m", "14", "--N", "1000")
     assert 0 < bounds["lower"] <= bounds["upper"] <= 1
+    code, _, err = run_cli(capsys, "analytic", "bounds", *TINY_Q2_ARGS, "--m", "10", "--N", "1000")
+    assert code == EXIT_VALIDATION and "m=10" in err  # m P(A1) = 0.107
 
 
 def test_nan_budget_is_refused(capsys):
