@@ -141,10 +141,21 @@ def joint_survival_aggregated(dist: TrialDistribution, m: int):
     return one_type + two_type
 
 
+def _survival_and_pa1(dist: TrialDistribution, m: int):
+    """(P(Abar_2 ... Abar_m | A1), P(A1)); a ValidationError where a float
+    P(A1) has underflowed to 0.0 (an exact one never does)."""
+    pa1 = window_probability(dist, m)
+    if pa1 == 0:
+        raise ValidationError(f"P(A1) at m={m} underflows to 0.0 in floating point, so "
+                              f"P(Abar_2..Abar_m | A1) is undefined; give p, q1 and q2 "
+                              f"as exact fractions")
+    return joint_survival_aggregated(dist, m) / pa1, pa1
+
+
 def conditional_survival(dist: TrialDistribution, m: int):
     """P(Abar_2 ... Abar_m | A1) = joint survival / window probability,
     the joint survival from its aggregated closed form."""
-    return joint_survival_aggregated(dist, m) / window_probability(dist, m)
+    return _survival_and_pa1(dist, m)[0]
 
 
 @dataclass(frozen=True)
@@ -169,8 +180,7 @@ def sandwich(dist: TrialDistribution, m: int, N: int) -> Sandwich:
     first, so the sum is m P(A1); (iii), P(A1) < eps/m, is the same inequality.
     """
     alpha = alpha_correction(dist, m).alpha
-    pa1 = window_probability(dist, m)
-    survival = joint_survival_aggregated(dist, m) / pa1
+    survival, pa1 = _survival_and_pa1(dist, m)
     eps = max(float(abs(survival - alpha)), m * float(pa1))
     limit = min(float(dist.p) / 10, 1 / 42)
     if not eps < limit:

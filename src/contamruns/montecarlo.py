@@ -122,10 +122,20 @@ def _map_reps(fn: Callable[[int], float], s: int, workers: int) -> list:
     # trim thresholds to ~31 and ~62 MiB: every chunk's temporaries then stay
     # on the heap, not mapped and page-faulted per repetition (other libcs: no-op).
     np.empty(31 << 20, np.uint8)
+    workers = min(workers, s)
     if workers <= 1:
         return [fn(i) for i in range(s)]
+    # one task per worker: worker w runs repetitions w, w + W, w + 2W, ...
+    # into their slots, so results stay in repetition order
+    results = [None] * s
+
+    def block(w: int) -> None:
+        for i in range(w, s, workers):
+            results[i] = fn(i)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(s)))
+        list(pool.map(block, range(workers)))
+    return results
 
 
 def run_longest_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:

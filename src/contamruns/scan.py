@@ -1,17 +1,26 @@
 """Single-pass scans: longest valid run and first hitting time.
 
 Let f_1 < f_2 < ... be the failure positions and t_j their types, with
-sentinels f_{-1} = f_0 = 0 of type 0 (no failure type) and one position
-past the end.  The longest valid run whose last failure is f_j ends at
-f_{j+1} - 1 and starts after f_{j-1} if t_{j-1} = t_j, else after
-f_{j-2}.  mu(N) is the largest of these lengths and of the failure-free
-stretch before f_1; tau_m, the end index of the first valid m-window,
-lies in the first such run of length >= m, at max(f_j, start_j + m).
+sentinels f_{-2} = f_{-1} = f_0 = 0 of type 0 (no failure type) and one
+position past the end.  The longest valid run whose last failure is f_j
+ends at f_{j+1} - 1 and starts after f_{j-1} if t_{j-1} = t_j, else after
+f_{j-2}; for j = 0 it is the failure-free stretch before f_1.  mu(N) is
+the largest of these lengths; tau_m, the end index of the first valid
+m-window, lies in the first such run of length >= m, at start_j + m.
+(Runs start no earlier as j grows, so if start_j + m < f_j the run before
+would already reach m.)
+
+A valid m-window holds at most two failures, so it lies strictly between
+f_{j-2} and f_{j+1} for some j: only the j with f_{j+1} - f_{j-2} > m can
+hold a hit.  The hitting scan tests that on every failure triple and
+reads types only at the few candidates, in order, stopping at the first
+hit.
 
 The chunk scanner finds a uint8 chunk's failures in one pass; its other
 arrays are as long as the failure count.  Across chunks it carries the
-position, the last two failures with their types and the current run's
-start, so long pull-based sources are never materialized.
+position and the last three failures with their types, so the run still
+open at the end of a chunk is the first run the next chunk scans, and
+long pull-based sources are never materialized.
 """
 from __future__ import annotations
 
@@ -21,43 +30,52 @@ from .model import ValidationError, check_window_length
 
 
 class ChunkScanner:
-    """Carries the scan across numpy uint8 chunks; O(1) state, O(c) work."""
+    """Carries the scan across numpy uint8 chunks; O(1) state, O(c) work.
+
+    A scanner serves one mode: `push` keeps `best`, `push_until_hit` does not.
+    """
 
     def __init__(self):
         self.position = self.best = 0
-        self.start = 0  # the current run begins at position start + 1
-        self.failures, self.types = np.zeros(2, np.int64), np.zeros(2, np.uint8)
+        self.failures, self.types = np.zeros(3, np.int64), np.zeros(3, np.uint8)
 
-    def _scan(self, chunk: np.ndarray):
-        """Advance; return F (2 carried failures, the new ones, the end) and the spans."""
+    def _advance(self, chunk: np.ndarray):
+        """Advance; return F (3 carried failures, the new ones, the end) and
+        the new failures' offsets in the chunk."""
         ev = np.flatnonzero(chunk != 0)
-        F = np.empty(ev.size + 3, dtype=np.int64)
-        F[:2] = self.failures
-        np.add(ev, self.position + 1, out=F[2:-1])
+        F = np.empty(ev.size + 4, dtype=np.int64)
+        F[:3] = self.failures
+        np.add(ev, self.position + 1, out=F[3:-1])
         self.position += len(chunk)
         F[-1] = self.position + 1
-        T = np.concatenate((self.types, chunk[ev]))
-        g = np.diff(F)
-        span = g[2:] + g[1:-1]  # per new failure: next failure - run start = run + 1
-        g[:-2] *= T[2:] != T[1:-1]
-        span += g[:-2]
-        self.best = max(self.best, int(F[2]) - 1 - self.start, int(span.max(initial=1)) - 1)
-        if ev.size:
-            self.start = int(F[-1] - span[-1])
-            self.failures, self.types = F[-3:-1].copy(), T[-2:].copy()
-        return F, span
+        return F, ev
 
     def push(self, chunk: np.ndarray) -> None:
-        self._scan(chunk)
+        F, ev = self._advance(chunk)
+        T = np.concatenate((self.types, chunk[ev]))
+        g = np.diff(F)
+        span = g[2:] + g[1:-1]  # per run, its last failure F[j]: F[j+1] - run start = run + 1
+        g[:-2] *= T[2:] != T[1:-1]
+        span += g[:-2]
+        self.best = max(self.best, int(span.max()) - 1)
+        self.failures, self.types = F[-4:-1].copy(), T[-3:].copy()
 
     def push_until_hit(self, chunk: np.ndarray, m: int) -> int | None:
         """Advance; return the first absolute position with a run >= m, if any."""
-        start, first = self.start, self.position + 1
-        F, span = self._scan(chunk)
-        if start + m < F[2]:  # the carried run reaches m before the next failure
-            return max(first, start + m)
-        hit = np.flatnonzero(span > m)[:1]
-        return int(max(F[hit[0] + 2], F[hit[0] + 3] - span[hit[0]] + m)) if hit.size else None
+        F, ev = self._advance(chunk)
+        carried = self.types.tolist()
+
+        def type_of(k: int):  # the type of failure F[k]
+            return carried[k] if k < 3 else chunk[ev[k - 3]]
+
+        for i in np.flatnonzero(F[3:] - F[:-3] > m).tolist():
+            # the run whose last failure is F[i + 2]; it ends at F[i + 3] - 1
+            start = F[i + 1] if type_of(i + 1) == type_of(i + 2) else F[i]
+            if F[i + 3] - start > m:
+                return int(start + m)
+        self.failures = F[-4:-1].copy()
+        self.types = np.concatenate((self.types, chunk[ev[-3:]]))[-3:]
+        return None
 
 
 def _as_array(seq) -> np.ndarray:

@@ -147,6 +147,17 @@ def test_exact_closed_forms_refuse_past_the_bit_cap():
     assert window_probability(floats, 10 ** 6) == 0.0
 
 
+def test_float_window_probability_underflow_is_refused():
+    # (1/3)^1000 underflows to 0.0, and the conditional survival divides by P(A1)
+    floats = TrialDistribution(1 / 3, 1 / 3, 1 / 3)
+    with pytest.raises(ValidationError, match=r"m=1000 underflows to 0\.0"):
+        sandwich(floats, 1000, 10)
+    with pytest.raises(ValidationError, match=r"m=1000 underflows to 0\.0"):
+        conditional_survival(floats, 1000)
+    # the exact P(A1) is never 0: the sandwich is evaluated, with eps underflowed
+    assert sandwich(THIRDS, 1000, 10).degenerate
+
+
 def test_conditional_discrepancy_shrinks():
     d5 = abs(float(conditional_survival(THIRDS, 5)) - float(alpha_correction(THIRDS, 5).alpha))
     d7 = abs(float(conditional_survival(THIRDS, 7)) - float(alpha_correction(THIRDS, 7).alpha))

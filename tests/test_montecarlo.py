@@ -3,6 +3,8 @@ import json
 import math
 import platform
 import resource
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from contamruns.model import TrialDistribution, ValidationError
 from contamruns.montecarlo import (
     EmpiricalDistribution,
     ExperimentConfig,
+    _map_reps,
     repetition_rng,
     run_hitting_experiment,
     run_longest_experiment,
@@ -92,6 +95,39 @@ def test_worker_count_is_invisible():
     for other in results[1:]:
         assert np.array_equal(results[0].support, other.support)
         assert np.array_equal(results[0].weights, other.weights)
+
+
+@pytest.mark.parametrize("s, workers", [(1, 2), (5, 8), (7, 2)])
+def test_map_reps_keeps_repetition_order(s, workers):
+    # later repetitions finish first, so completion order is not repetition
+    # order; a short switch interval interleaves the workers' slot writes
+    def fn(i):
+        time.sleep(0.002 * (s - i))
+        return i * i
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _map_reps(fn, s, workers) == [i * i for i in range(s)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_map_reps_propagates_an_exception():
+    def fn(i):
+        if i == 3:
+            raise ArithmeticError("repetition 3")
+        return i
+    with pytest.raises(ArithmeticError, match="repetition 3"):
+        _map_reps(fn, 7, 2)
+
+
+def test_hitting_worker_count_is_invisible():
+    cfg = ExperimentConfig(dist=THIRDS, N=None, s=200, seed=5, mode="hitting", m=8)
+    results = [run_hitting_experiment(cfg, workers=w).empirical for w in (1, 2, 3)]
+    for other in results[1:]:
+        assert np.array_equal(results[0].support, other.support)
+        assert np.array_equal(results[0].weights, other.weights)
+        assert results[0].total == other.total == 200
 
 
 def test_config_validation():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from contamruns.analytic import alpha_correction, cfk_bounds, window_probability
+from contamruns.analytic import sandwich
 from contamruns.model import TrialDistribution, ValidationError, is_window_valid
 from contamruns.oracle import (
     SizeError,
@@ -203,14 +203,14 @@ def test_float_dp_stops_at_convergence():
 
 
 def test_cfk_sandwich_at_the_paper_scale():
-    # criterion 5 at thirds, N = 3e6, the paper's scale, where [m(N)] = 18
+    # criterion 5 at thirds, N = 3e6, the paper's scale, where [m(N)] = 18:
+    # the lemma's own bounds over the N - m + 1 windows, both of them below 1
+    # (at m = 18 they are [0.218687, 0.218886] around 0.218783)
     N = 3 * 10 ** 6
-    eps_from = float(enumerate_conditional(THIRDS, 7))
     for m in range(16, 21):
-        alpha = float(alpha_correction(THIRDS, m).alpha)
-        lo, hi = cfk_bounds(alpha, abs(eps_from - alpha), N - m + 1, m,
-                            float(window_probability(THIRDS, m)))
-        assert lo <= dp_longest_cdf(THIRDS, N, m, mode="float", budget=math.inf) <= hi, m
+        b = sandwich(THIRDS, m, N - m + 1)
+        assert b.lower <= dp_longest_cdf(THIRDS, N, m, mode="float", budget=math.inf) <= b.upper
+        assert b.upper < 1 and b.upper - b.lower < 1e-3, m
 
 
 def test_dp_chain_is_minimal_size():

@@ -59,15 +59,22 @@ def test_empty_sequences_rejected():
 
 def test_streaming_update_tracks_best():
     scanner = ChunkScanner()
-    bests = []
     for x in [0, 1, 0, 2, 1]:
         assert scanner.push_until_hit(np.array([x], dtype=np.uint8), 5) is None
-        bests.append(scanner.best)
-    assert bests == [1, 2, 3, 4, 4] and scanner.position == 5
+    assert scanner.position == 5
     # after the second type-I failure only positions 3..5 qualify, so the
     # run reaches 4 again at position 6
     assert scanner.push_until_hit(np.array([0], dtype=np.uint8), 4) == 6
-    assert scanner.best == 4
+
+
+def test_streaming_push_tracks_best():
+    # a scanner serves one mode: push keeps best, push_until_hit does not
+    scanner = ChunkScanner()
+    bests = []
+    for x in [0, 1, 0, 2, 1]:
+        scanner.push(np.array([x], dtype=np.uint8))
+        bests.append(scanner.best)
+    assert bests == [1, 2, 3, 4, 4] and scanner.position == 5
 
 
 @pytest.mark.parametrize("seq", [[0, 3, 0], [0, -1], [0, 1.5], [0.0, 256], [0, float("nan")],
@@ -161,21 +168,26 @@ def reference_scan(seq, ms):
     return best, hits
 
 
-@pytest.mark.parametrize("p", [1 / 3, 0.8])
-def test_scanner_matches_suffix_recursion(p):
+@pytest.mark.parametrize("p, q1", [pytest.param(1 / 3, 1 / 3, id=str(1 / 3)),
+                                   pytest.param(0.8, 0.1, id="0.8"), (0.5, 0.4), (0.1, 0.89)])
+def test_scanner_matches_suffix_recursion(p, q1):
     rng = np.random.default_rng(2024)
     u = rng.random(100_000)
-    arr = (u >= p).view(np.uint8) + (u >= p + (1 - p) / 2).view(np.uint8)
-    # cut at random points (some repeated, so some pieces are empty) and at
-    # a sample of the places where failures start or stop, so that some
-    # pieces hold only failures and others none
+    arr = (u >= p).view(np.uint8) + (u >= p + q1).view(np.uint8)
+    # cut at random points (some repeated, so some pieces are empty), at a
+    # sample of the places where failures start or stop, and around a sample
+    # of whole stretches of failures or of successes, so that some pieces
+    # hold only failures, others none, and some just one or two failures
     switches = np.flatnonzero(np.diff(arr != 0)) + 1
     cuts = np.concatenate((rng.integers(0, arr.size + 1, 40), [0, 0, arr.size],
                            rng.choice(switches, 200, replace=False)))
+    whole = rng.choice(switches.size - 1, 100, replace=False)
+    cuts = np.concatenate((cuts, switches[whole], switches[whole + 1]))
     pieces = np.split(arr, np.sort(cuts))
     kinds = {(piece.size > 0, bool(piece.all()), bool(piece.any())) for piece in pieces}
     assert {(False, True, False), (True, True, True), (True, False, False)} <= kinds
-    ms = (1, 2, 7, 30)
+    assert {1, 2} <= {int(np.count_nonzero(piece)) for piece in pieces}
+    ms = (1, 2, 7, 12, 30)
     best, hits = reference_scan(arr.tolist(), ms)
     assert scan_pieces(pieces) == best
     for m in ms:
