@@ -3,6 +3,8 @@ closed forms, exact oracles, O(N) scans, and Monte Carlo experiments."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .analytic import (
     AccompanyingLaw,
     AlphaBreakdown,
@@ -14,7 +16,6 @@ from .analytic import (
     exponent_l,
     h_function_terms,
     joint_survival_aggregated,
-    joint_survival_casewise,
     m_of_n,
     sandwich,
     theorem1_limit_cdf,
@@ -27,7 +28,6 @@ from .model import (
     TrialDistribution,
     ValidationError,
     derive_constants,
-    is_window_valid,
 )
 from .montecarlo import (
     EmpiricalDistribution,
@@ -35,7 +35,6 @@ from .montecarlo import (
     ExperimentResult,
     run_hitting_experiment,
     run_longest_experiment,
-    simulate_sequence,
     sup_distance,
     sup_distance_lattice,
     sup_distance_step,
@@ -43,11 +42,11 @@ from .montecarlo import (
 from .oracle import (
     dp_longest_cdf,
     enumerate_conditional,
-    enumerate_event,
     joint_survival_by_enumeration,
-    longest_cdf_by_enumeration,
     window_probability_by_enumeration,
 )
 from .scan import first_hitting, longest_run
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the functions and classes above; importing them also binds their submodules here
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -77,48 +77,11 @@ def alpha_correction(dist: TrialDistribution, m: int) -> AlphaBreakdown:
     return AlphaBreakdown(numerator=num, denominator=den, alpha=num / den)
 
 
-def joint_survival_casewise(dist: TrialDistribution, m: int):
-    """P(A1 Abar_2 ... Abar_m) by direct summation of the case formulas.
-
-    Sums every per-index case over its range (the single-contamination
-    terms for 1 < i < m and i = m, the double-contamination terms for
-    the (1,m), (1,j), (i,m) and interior (i,j) cases), then adds the
-    copies with the two failure types interchanged.  The impossible
-    cases (pure first window, contamination at position 1 of a
-    one-type window) contribute zero.  O(m^2) terms; deliberately not
-    simplified so it can cross-check :func:`joint_survival_aggregated`,
-    the evaluation route.
-    """
-    check_window_length(m, 2)
-    _check_exact_size(dist, m)
-    p = dist.p
-    total = 0
-    for a, b in ((dist.q1, dist.q2), (dist.q2, dist.q1)):
-        # one contamination of type a at position i, forced repeat at m+1
-        for i in range(2, m):
-            total += a * a * p ** (m - 1) * (1 - p ** (i - 1) - (i - 1) * b * p ** (i - 2))
-        total += a * a * p ** (m - 1)  # i = m
-        # two contaminations: type a at i, type b at j, i < j
-        total += a * b * p ** (m - 2) * b  # (i, j) = (1, m)
-        for j in range(2, m):  # i = 1, 1 < j < m
-            total += a * b * p ** (m - 2) * b * (1 - p ** (j - 1) - p ** (j - 2) * (j - 1) * a)
-        for i in range(2, m):  # 1 < i, j = m
-            total += a * b * p ** (m - 2) * (a * (1 - p ** (i - 1)) + b)
-        for i in range(2, m - 1):  # interior pairs, split on the symbol at m+1
-            for j in range(i + 1, m):
-                total += a * b * p ** (m - 2) * a * (
-                    1 - p ** (i - 1) - (i - 1) * p ** (i - 2) * b * p ** (j - i)
-                )
-                total += a * b * p ** (m - 2) * b * (
-                    1 - p ** (j - 1) - (j - 1) * a * p ** (j - 2)
-                )
-    return total
-
-
 def joint_survival_aggregated(dist: TrialDistribution, m: int):
-    """Same quantity as :func:`joint_survival_casewise`, via the
-    simplified aggregate expressions: O(1) terms, and with exact inputs
-    the same Fraction as the casewise sum, for every m >= 2.
+    """P(A1 Abar_2 ... Abar_m) via the simplified aggregate expressions:
+    O(1) terms, and with exact inputs the same Fraction as the raw casewise
+    sum of O(m^2) terms, `joint_survival_casewise` in tests/crosscheck.py,
+    for every m >= 2.
     """
     check_window_length(m, 2)
     _check_exact_size(dist, m)

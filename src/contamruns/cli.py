@@ -37,7 +37,7 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
 
-# --threads above this is refused before any thread starts; 8 is always allowed
+# --threads outside 1..this is refused before any thread starts; 8 is always allowed
 MAX_THREADS = max(8, 4 * (os.cpu_count() or 1))
 
 # (p, q1, q2, N, s, m) parameter sets for the eight figure presets
@@ -257,8 +257,8 @@ def _against(empirical, ref_name: str, dist=None, N=None):
 
 
 def cmd_experiment(args) -> int:
-    if args.threads > MAX_THREADS:
-        raise ValidationError(f"--threads must be at most {MAX_THREADS}, got {args.threads}")
+    if not 1 <= args.threads <= MAX_THREADS:
+        raise ValidationError(f"--threads must be in 1..{MAX_THREADS}, got {args.threads}")
     cfg, scale = _experiment_config(args)
     # named from every field that changes the results; floats by repr keep every digit
     p, q1, q2 = cfg.dist.as_floats()
@@ -343,7 +343,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--seed", type=int, default=20240817, help="experiment master seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help=f"worker pool size, at most {MAX_THREADS}")
+                        help=f"worker pool size, 1 to {MAX_THREADS}")
     parser.add_argument("--out", default="out", help="output directory for experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 

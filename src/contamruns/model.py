@@ -77,10 +77,6 @@ class TrialDistribution:
     def as_floats(self) -> tuple[float, float, float]:
         return float(self.p), float(self.q1), float(self.q2)
 
-    def swapped(self) -> "TrialDistribution":
-        """Distribution with the two failure types interchanged."""
-        return TrialDistribution(self.p, self.q2, self.q1)
-
 
 def finite_float(x, name: str) -> float:
     """float(x), refused past the double range (as an exact x derived from
@@ -130,19 +126,6 @@ def derive_constants(dist: TrialDistribution) -> DerivedConstants:
         + 2 * (2 * p + 1) * q1 * q2 / (p - 1) ** 3
     )
     return DerivedConstants(C=C, C0=C0, C1=C1, C2=C2)
-
-
-def is_window_valid(window) -> bool:
-    """True iff the window holds at most one FAIL_PLUS and one FAIL_MINUS.
-
-    Covers pure, one-type contaminated, and two-type contaminated runs.
-    Depends only on symbol counts, so any ordering of the same multiset
-    gives the same answer.
-    """
-    window = list(window)
-    if not window:
-        raise ValidationError("window must be non-empty")
-    return window.count(Outcome.FAIL_PLUS) <= 1 and window.count(Outcome.FAIL_MINUS) <= 1
 
 
 def check_window_length(m: int, minimum: int = 1) -> int:

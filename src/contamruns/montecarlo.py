@@ -49,12 +49,6 @@ def outcome_chunks(dist: TrialDistribution, rng: np.random.Generator,
         remaining -= n
 
 
-def simulate_sequence(dist: TrialDistribution, N: int, stream_seed: int) -> np.ndarray:
-    """Materialized sequence of N outcomes for the given stream seed."""
-    rng = repetition_rng(stream_seed, 0)
-    return np.concatenate(list(outcome_chunks(dist, rng, N)))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     dist: TrialDistribution

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -56,15 +55,6 @@ def _law(dist: TrialDistribution, codes: np.ndarray, key: np.ndarray) -> dict:
         v, a, b = cell // (n + 1) ** 2, cell // (n + 1) % (n + 1), cell % (n + 1)
         law[v] = law.get(v, 0) + int(counts[cell]) * p ** (n - a - b) * q1 ** a * q2 ** b
     return law
-
-
-def enumerate_event(dist: TrialDistribution, n: int,
-                    predicate: Callable[[tuple[int, ...]], bool]):
-    """Probability of {predicate holds} over all 3^n outcome sequences (tuples of ints)."""
-    codes = _all_sequences(n)
-    holds = np.fromiter((predicate(tuple(row.tolist())) for row in codes), dtype=bool,
-                        count=codes.shape[0])
-    return _law(dist, codes, holds).get(True, 0)
 
 
 def _suffix_length_columns(codes: np.ndarray):
@@ -119,13 +109,6 @@ def longest_run_distribution_by_enumeration(dist: TrialDistribution, n: int) -> 
     for _, lengths in _suffix_length_columns(codes):
         np.maximum(best, lengths, out=best)
     return _law(dist, codes, best)
-
-
-def longest_cdf_by_enumeration(dist: TrialDistribution, N: int, m: int):
-    """P(mu(N) < m) by full enumeration."""
-    pmf = longest_run_distribution_by_enumeration(dist, N)
-    return sum((prob for mu, prob in pmf.items() if mu < m),
-               Fraction(0) if dist.is_exact else 0.0)
 
 
 # --- dynamic program over the minimal suffix chain --------------------

@@ -13,13 +13,12 @@ import pytest
 from contamruns.analytic import (
     accompanying_cdf,
     alpha_correction,
-    cfk_bounds,
     joint_survival_aggregated,
-    joint_survival_casewise,
+    sandwich,
     theorem1_limit_cdf,
     window_probability,
 )
-from contamruns.model import TrialDistribution
+from contamruns.model import TrialDistribution, ValidationError
 from contamruns.montecarlo import (
     ExperimentConfig,
     outcome_chunks,
@@ -37,6 +36,8 @@ from contamruns.oracle import (
     window_probability_by_enumeration,
 )
 from contamruns.scan import ChunkScanner
+
+from crosscheck import joint_survival_casewise
 
 THIRDS = TrialDistribution(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 SKEWED = TrialDistribution(Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
@@ -140,20 +141,21 @@ def test_criterion_4_dp_equals_enumeration():
 
 
 def test_criterion_5_cfk_sandwich():
-    cond7 = float(enumerate_conditional(THIRDS, 7))
-    ok = True
+    # the lemma's own bounds over the N - m + 1 windows, at the smallest eps its
+    # hypotheses admit; at thirds that is every m >= 10 (at m = 12, N = 1e4 the
+    # sandwich is [0.1906, 0.2383] around 0.2124)
+    with pytest.raises(ValidationError):
+        sandwich(THIRDS, 8, 10 ** 3 - 7)
     details = []
-    for m in (8, 10):
-        alpha = float(alpha_correction(THIRDS, m).alpha)
-        eps = abs(cond7 - alpha)  # measured at the largest enumerable window
-        pa1 = float(window_probability(THIRDS, m))
+    for m in (10, 12):
         for N1 in (10 ** 3, 10 ** 4, 10 ** 5):
+            bounds = sandwich(THIRDS, m, N1 - m + 1)
             value = dp_longest_cdf(THIRDS, N1, m, mode="float")
-            lo, hi = cfk_bounds(alpha, eps, N1 - m + 1, m, pa1)
-            ok &= lo <= value <= hi
-            details.append(f"(m={m},N={N1:.0e})")
-    report(5, ok, f"DP value inside sandwich for {' '.join(details)}, "
-                  f"measured eps from m=7 enumeration")
+            assert bounds.lower <= value, (m, N1)
+            assert value <= bounds.upper, (m, N1)
+        details.append(f"m={m} (eps={bounds.eps:.2g})")
+    report(5, True, f"DP value inside the lemma's sandwich at N in 1e3..1e5 for "
+                    f"{', '.join(details)}; m=8 refused")
 
 
 def test_criterion_6_theorem1_desk_scale(hitting_runs):

@@ -17,7 +17,6 @@ from contamruns.analytic import (
     exponent_l,
     h_function_terms,
     joint_survival_aggregated,
-    joint_survival_casewise,
     m_of_n,
     sandwich,
     theorem1_limit_cdf,
@@ -30,6 +29,8 @@ from contamruns.oracle import (
     joint_survival_by_enumeration,
     window_probability_by_enumeration,
 )
+
+from crosscheck import joint_survival_casewise, swapped
 
 THIRDS = TrialDistribution(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 SKEWED = TrialDistribution(Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
@@ -57,7 +58,7 @@ def test_window_probability_rejects_short_windows():
 
 def test_window_probability_symmetric_in_failure_types():
     for m in (2, 5, 9):
-        assert window_probability(SKEWED, m) == window_probability(SKEWED.swapped(), m)
+        assert window_probability(SKEWED, m) == window_probability(swapped(SKEWED), m)
 
 
 # --- alpha ---------------------------------------------------------------
@@ -296,7 +297,7 @@ def test_accompanying_cdf_monotone_and_clamped_tails():
 def test_accompanying_cdf_symmetric_in_failure_types():
     for k in (-1, 0, 2):
         assert accompanying_cdf(SKEWED, N_FIG1, k) == pytest.approx(
-            accompanying_cdf(SKEWED.swapped(), N_FIG1, k), rel=1e-12)
+            accompanying_cdf(swapped(SKEWED), N_FIG1, k), rel=1e-12)
 
 
 def test_accompanying_law_derives_the_constants_once_per_query(monkeypatch):

@@ -519,10 +519,11 @@ def test_nan_budget_is_refused(capsys):
 
 
 def test_thread_count_is_capped_before_any_thread_starts(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "--threads", "1000000", "--out", str(tmp_path),
-                           "experiment", *THIRDS_ARGS, "--N", "200", "--s", "2")
-    assert code == EXIT_VALIDATION and "--threads" in err
-    assert list(tmp_path.iterdir()) == []
+    for threads in ("1000000", "0", "-1"):
+        code, _, err = run_cli(capsys, "--threads", threads, "--out", str(tmp_path),
+                               "experiment", *THIRDS_ARGS, "--N", "200", "--s", "2")
+        assert code == EXIT_VALIDATION and "--threads" in err
+        assert list(tmp_path.iterdir()) == []
     code, _, _ = run_cli(capsys, "--threads", "8", "--out", str(tmp_path),
                          "experiment", *THIRDS_ARGS, "--N", "200", "--s", "2")
     assert code == 0

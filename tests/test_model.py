@@ -1,18 +1,21 @@
 """Domain types: distributions, constants, window validity."""
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import contamruns
 from contamruns.model import (
     Outcome,
     TrialDistribution,
     ValidationError,
     check_window_length,
     derive_constants,
-    is_window_valid,
 )
+
+from crosscheck import is_window_valid, swapped
 
 THIRDS = TrialDistribution(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 SKEWED = TrialDistribution(Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
@@ -52,7 +55,7 @@ def test_distribution_accepts_float_and_fraction():
 
 
 def test_swapped_exchanges_failure_types():
-    d = SKEWED.swapped()
+    d = swapped(SKEWED)
     assert (d.p, d.q1, d.q2) == (Fraction(1, 2), Fraction(1, 5), Fraction(3, 10))
 
 
@@ -75,7 +78,7 @@ def test_k_matches_its_defining_quotient():
 
 def test_constants_symmetric_under_failure_swap():
     c1 = derive_constants(SKEWED)
-    c2 = derive_constants(SKEWED.swapped())
+    c2 = derive_constants(swapped(SKEWED))
     assert (c1.C0, c1.C1, c1.C2, c1.K) == (c2.C0, c2.C1, c2.C2, c2.K)
 
 
@@ -115,3 +118,13 @@ def test_check_window_length():
         check_window_length(2.0)
     with pytest.raises(ValidationError):
         check_window_length(True)
+
+
+def test_package_exports_functions_and_classes_only():
+    # the submodules are reached as contamruns.<name>, not listed among the exports;
+    # the references only the tests use live in tests/crosscheck.py
+    moved = {"joint_survival_casewise", "enumerate_event", "longest_cdf_by_enumeration",
+             "simulate_sequence", "is_window_valid", "swapped"}
+    assert not any(inspect.ismodule(getattr(contamruns, name)) for name in contamruns.__all__)
+    assert moved.isdisjoint(contamruns.__all__)
+    assert not hasattr(TrialDistribution, "swapped")

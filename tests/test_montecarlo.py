@@ -21,12 +21,13 @@ from contamruns.montecarlo import (
     repetition_rng,
     run_hitting_experiment,
     run_longest_experiment,
-    simulate_sequence,
     sup_distance,
     sup_distance_lattice,
     sup_distance_step,
 )
 from contamruns.oracle import dp_longest_cdf
+
+from crosscheck import simulate_sequence
 
 THIRDS = TrialDistribution(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 

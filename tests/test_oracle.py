@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from contamruns.analytic import sandwich
-from contamruns.model import TrialDistribution, ValidationError, is_window_valid
+from contamruns.model import TrialDistribution, ValidationError
 from contamruns.oracle import (
     SizeError,
     _all_sequences,
@@ -14,12 +14,12 @@ from contamruns.oracle import (
     _dp_float,
     dp_longest_cdf,
     enumerate_conditional,
-    enumerate_event,
     joint_survival_by_enumeration,
-    longest_cdf_by_enumeration,
     longest_run_distribution_by_enumeration,
     window_probability_by_enumeration,
 )
+
+from crosscheck import enumerate_event, is_window_valid, longest_cdf_by_enumeration
 
 THIRDS = TrialDistribution(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 SKEWED = TrialDistribution(Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contamruns.model import ValidationError, is_window_valid
+from contamruns.model import ValidationError
 from contamruns.scan import ChunkScanner, first_hitting, longest_run
+
+from crosscheck import is_window_valid
 
 sequences = st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=24)
 
