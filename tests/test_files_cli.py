@@ -509,6 +509,14 @@ def test_huge_n_and_tiny_probabilities_give_finite_values(capsys):
     assert code == EXIT_VALIDATION and "m=10" in err  # m P(A1) = 0.107
 
 
+def test_oracle_m1_answers_without_the_chain(capsys):
+    # P(mu(N) < 1) = 0: no budget refusal, however large N is
+    for mode, payload in (("float", {"value": 0.0}), ("exact", {"exact": "0/1", "value": 0.0})):
+        code, out, _ = run_cli(capsys, "--json", "oracle", "longest-cdf", *THIRDS_ARGS,
+                               "--N", "1000000", "--m", "1", "--mode", mode)
+        assert code == 0 and json.loads(out) == payload
+
+
 def test_nan_budget_is_refused(capsys):
     code, _, err = run_cli(capsys, "oracle", "longest-cdf", *THIRDS_ARGS,
                            "--N", "20", "--m", "5", "--budget", "nan")

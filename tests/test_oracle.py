@@ -8,10 +8,12 @@ import pytest
 from contamruns.analytic import sandwich
 from contamruns.model import TrialDistribution, ValidationError
 from contamruns.oracle import (
+    BUILD_COST,
     SizeError,
     _all_sequences,
     _dp_chain,
     _dp_float,
+    _dp_work,
     dp_longest_cdf,
     enumerate_conditional,
     joint_survival_by_enumeration,
@@ -26,6 +28,12 @@ SKEWED = TrialDistribution(Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
 FIGURE_TRIPLES = (THIRDS,  # figures 1, 3 and 8
                   TrialDistribution(Fraction(1, 2), Fraction(2, 5), Fraction(1, 10)),
                   TrialDistribution(Fraction(4, 5), Fraction(1, 10), Fraction(1, 10)))
+# the q1 = q2 triples of the figure presets, which run on the lumped chain
+SYMMETRIC_TRIPLES = (THIRDS,
+                     TrialDistribution(Fraction(2, 5), Fraction(3, 10), Fraction(3, 10)),
+                     TrialDistribution(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+                     TrialDistribution(Fraction(3, 5), Fraction(1, 5), Fraction(1, 5)),
+                     TrialDistribution(Fraction(4, 5), Fraction(1, 10), Fraction(1, 10)))
 
 
 def test_enumerate_event_total_mass():
@@ -103,6 +111,16 @@ def test_dp_boundary_cases():
     assert dp_longest_cdf(THIRDS, 6, 7, mode="exact") == 1
 
 
+def test_dp_m1_is_zero_without_running_the_chain():
+    # P(mu(N) < 1) = 0 for N >= 1, at any N and under any budget
+    for d in (THIRDS, SKEWED):
+        exact = dp_longest_cdf(d, 10 ** 6, 1, mode="exact")
+        assert exact == 0 and isinstance(exact, Fraction)
+        value = dp_longest_cdf(d, 10 ** 6, 1, mode="float", budget=1)
+        assert value == 0.0 and isinstance(value, float)
+    assert dp_longest_cdf(THIRDS, 10 ** 400, 1, mode="exact", budget=1) == 0
+
+
 def test_dp_float_agrees_with_exact():
     for d, N, m in ((SKEWED, 50, 6), (THIRDS, 2000, 12)):
         exact = dp_longest_cdf(d, N, m, mode="exact")
@@ -148,11 +166,14 @@ def test_dp_budget_refusal():
     # converged, so the N steps charged are an upper bound on its work
     with pytest.raises(SizeError):
         dp_longest_cdf(THIRDS, 10 ** 7, 2, mode="float")
-    # work past the double range still makes a message
-    with pytest.raises(SizeError, match=r"~10\^303\.5 word"):
+    # work past the double range still makes a message (thirds at m = 10
+    # runs on the 175-state lumped chain, .5/.3/.2 on the 340-state one)
+    with pytest.raises(SizeError, match=r"~10\^303\.4 word"):
         dp_longest_cdf(THIRDS, 10 ** 300, 10, mode="float")
-    with pytest.raises(SizeError, match=r"~10\^601\.5 word"):
+    with pytest.raises(SizeError, match=r"~10\^601\.2 word"):
         dp_longest_cdf(THIRDS, 10 ** 300, 10, mode="exact")
+    with pytest.raises(SizeError, match=r"~10\^303\.5 word"):
+        dp_longest_cdf(SKEWED, 10 ** 300, 10, mode="float")
     # weights over a ~1000-bit denominator make every product ~16x dearer
     tiny = TrialDistribution(Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10 ** 300),
                              Fraction(1, 10 ** 300))
@@ -178,7 +199,8 @@ def test_dp_float_does_not_underflow():
 
 
 def _float_bracket(dist, N, m):
-    return _dp_float(_dp_chain(m), np.array(dist.as_floats()), N)
+    # the chain dp_longest_cdf builds: lumped when q1 = q2
+    return _dp_float(_dp_chain(m, dist.q1 == dist.q2), np.array(dist.as_floats()), N)
 
 
 def test_float_bracket_contains_exact_dp():
@@ -220,6 +242,43 @@ def test_dp_chain_is_minimal_size():
         assert _dp_chain(m).shape[1] == m * (m + 1) * (2 * m + 1) // 6 - m * (m - 1) // 2
 
 
+def test_lumped_dp_chain_size():
+    # the lumped chain keeps one state of each mirror pair (L, a, b), (L, b, a),
+    # and the m states a = b = L are their own mirrors
+    for m in range(2, 26):
+        assert 2 * _dp_chain(m, True).shape[1] == _dp_chain(m).shape[1] + m
+
+
+def test_dp_work_charges_the_states_the_chain_builds():
+    # with N = 0 the work is the build alone, BUILD_COST per state
+    for symmetric in (False, True):
+        for m in range(1, 31):
+            assert _dp_work(0, m, None, symmetric) == BUILD_COST * _dp_chain(m, symmetric).shape[1]
+
+
+def _exact_on_full_chain(dist, N, m):
+    """P(mu(N) < m) by the integer recursion on the unlumped chain."""
+    d = math.lcm(dist.p.denominator, dist.q1.denominator, dist.q2.denominator)
+    weights = np.array([int(x * d) for x in (dist.p, dist.q1, dist.q2)], dtype=object)
+    succ = _dp_chain(m, False)
+    f = np.ones(succ.shape[1] + 1, dtype=object)
+    f[-1] = 0
+    for _ in range(N):
+        f[:-1] = weights @ f[succ]
+    return Fraction(f[0], d ** N)
+
+
+def test_lumped_chain_exact_values_equal_the_full_chain():
+    for dist in SYMMETRIC_TRIPLES:
+        for N in (40, 100):
+            for m in range(2, 13):
+                assert dp_longest_cdf(dist, N, m, mode="exact") == \
+                    _exact_on_full_chain(dist, N, m), (dist, N, m)
+    assert dp_longest_cdf(THIRDS, 100, 10, mode="exact") == Fraction(
+        157538194699726430057434651283137557079169642948,
+        171792506910670443678820376588540424234035840667)
+
+
 def test_all_sequences_rows_are_base3_digits():
     # row i holds the base-3 digits of i, most significant first
     for n in (1, 3, 7):
@@ -232,17 +291,18 @@ def test_dp_chain_is_closed_and_reachable():
     # a state formula is not closed or connected by construction: every
     # successor must be a state or the absorbing index S, and a walk from
     # (0, 0, 0) must reach all S states
-    for m in range(1, 26):
-        succ = _dp_chain(m)
-        S = succ.shape[1]
-        assert 0 <= succ.min() and succ.max() <= S
-        reached = np.zeros(S + 1, dtype=bool)
-        frontier = np.array([0])
-        while frontier.size:
-            reached[frontier] = True
-            nxt = np.unique(succ[:, frontier])
-            frontier = nxt[(nxt < S) & ~reached[nxt]]
-        assert reached[:S].all(), m
+    for symmetric in (False, True):
+        for m in range(1, 26):
+            succ = _dp_chain(m, symmetric)
+            S = succ.shape[1]
+            assert 0 <= succ.min() and succ.max() <= S
+            reached = np.zeros(S + 1, dtype=bool)
+            frontier = np.array([0])
+            while frontier.size:
+                reached[frontier] = True
+                nxt = np.unique(succ[:, frontier])
+                frontier = nxt[(nxt < S) & ~reached[nxt]]
+            assert reached[:S].all(), (m, symmetric)
 
 
 def test_dp_rejects_bad_mode():
