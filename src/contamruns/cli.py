@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
 import json
 import math
 import os
@@ -20,8 +21,6 @@ from pathlib import Path
 
 from . import __version__
 from . import analytic as an
-from . import montecarlo as mc
-from . import oracle as orc
 from .files import (
     FileFormatError,
     RunManifest,
@@ -30,7 +29,26 @@ from .files import (
     write_manifest,
     write_reference_csv,
 )
-from .model import SizeError, TrialDistribution, ValidationError, finite_float
+from .model import DEFAULT_BUDGET, SizeError, TrialDistribution, ValidationError, finite_float
+
+
+class _Deferred:
+    """A submodule imported at its first attribute access: montecarlo and
+    oracle import numpy, which the analytic commands never use."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    @functools.cached_property
+    def _module(self):
+        return importlib.import_module(self._name)
+
+    def __getattr__(self, attr):
+        return getattr(self._module, attr)
+
+
+mc = _Deferred(f"{__package__}.montecarlo")
+orc = _Deferred(f"{__package__}.oracle")
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -369,7 +387,7 @@ def build_parser() -> _Parser:
     po.add_argument("--m", type=int)
     po.add_argument("--N", type=int)
     po.add_argument("--mode", choices=["exact", "float"], default="exact")
-    po.add_argument("--budget", type=float, default=orc.DEFAULT_BUDGET)
+    po.add_argument("--budget", type=float, default=DEFAULT_BUDGET)
     po.set_defaults(fn=cmd_oracle)
 
     pe = sub.add_parser("experiment", help="run a Monte Carlo experiment")

@@ -13,11 +13,10 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .model import ValidationError
-from .montecarlo import EmpiricalDistribution
+if TYPE_CHECKING:  # the writers and the manifest need neither it nor numpy
+    from .montecarlo import EmpiricalDistribution
 
 
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
@@ -42,6 +41,10 @@ def write_empirical_csv(path, empirical: EmpiricalDistribution, metadata: dict) 
 
 
 def read_empirical_csv(path) -> tuple[EmpiricalDistribution, dict]:
+    import numpy as np
+
+    from .montecarlo import EmpiricalDistribution
+
     metadata: dict[str, str] = {}
     support: list[float] = []
     weights: list[int] = []
@@ -89,6 +92,8 @@ def read_empirical_csv(path) -> tuple[EmpiricalDistribution, dict]:
             raise FileFormatError(f"count must be >= 1, got {w}", lineno)
         support.append(x)
         weights.append(w)
+    if not lines:
+        raise FileFormatError("empty file")
     if not body_started:
         raise FileFormatError("no header found", len(lines))
     if not support:

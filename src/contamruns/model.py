@@ -14,6 +14,8 @@ from fractions import Fraction
 from numbers import Rational
 
 SIMPLEX_TOL = 1e-12
+# default work budget of the DP oracle (oracle.dp_longest_cdf and the CLI's --budget)
+DEFAULT_BUDGET = 10 ** 9
 
 
 class Outcome(IntEnum):

@@ -28,10 +28,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import Outcome, SizeError, TrialDistribution, ValidationError, check_window_length
+from .model import (
+    DEFAULT_BUDGET,
+    Outcome,
+    SizeError,
+    TrialDistribution,
+    ValidationError,
+    check_window_length,
+)
 
 ENUM_MAX_N = 14
-DEFAULT_BUDGET = 10 ** 9
 
 
 def _all_sequences(n: int) -> np.ndarray:

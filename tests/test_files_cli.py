@@ -268,6 +268,18 @@ def test_compare_refuses_a_csv_that_is_not_utf8(capsys, tmp_path):
         assert err.startswith("parse error: line 1:") and "UTF-8" in err
 
 
+@pytest.mark.parametrize("body", [b"", b"\xef\xbb\xbf"])  # nothing, or a byte-order mark only
+def test_compare_reports_an_empty_csv_without_a_line_number(capsys, tmp_path, body):
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(body)
+    with pytest.raises(FileFormatError) as exc:
+        read_empirical_csv(empty)
+    assert exc.value.line is None
+    code, _, err = run_cli(capsys, "compare", str(empty))
+    assert code == EXIT_VALIDATION
+    assert err == "parse error: empty file\n"
+
+
 # --- exact values past the digit limit, size cap, measured eps ------------------
 
 THIRDS_ARGS = ("--p", "1/3", "--q1", "1/3", "--q2", "1/3")
