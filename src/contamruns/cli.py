@@ -23,7 +23,6 @@ from . import __version__
 from . import analytic as an
 from .files import (
     FileFormatError,
-    RunManifest,
     read_empirical_csv,
     write_empirical_csv,
     write_manifest,
@@ -188,8 +187,6 @@ def cmd_analytic(args) -> int:
               f"{b.lower!r} < P(no valid window among {args.N}) < {b.upper!r} "
               f"(alpha={b.alpha:.9g}, eps={b.eps:.3g})"
               + (" (degenerate: eps underflowed to 0)" if b.degenerate else ""))
-    else:
-        raise UsageError(f"unknown analytic quantity {q!r}")
     return 0
 
 
@@ -224,8 +221,6 @@ def cmd_oracle(args) -> int:
         _require(args, "m")
         v = orc.window_probability_by_enumeration(dist, args.m)
         _print_prob(args, "P(A1) by enumeration", v)
-    else:
-        raise UsageError(f"unknown oracle query {q!r}")
     return 0
 
 
@@ -307,19 +302,12 @@ def cmd_experiment(args) -> int:
                         {**meta, "reference": ref_name})
     report = {"sup_distance": distance, "reference": ref_name,
               "samples": result.empirical.total, "excluded": result.excluded}
-    rep_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-    manifest = RunManifest(
-        config=config,
-        tool_version=__version__,
-        rng_scheme=mc.RNG_SCHEME_ID,
-        wall_time_s=wall,
-        excluded=result.excluded,
-        outputs={"empirical": str(emp_path), "reference": str(ref_path),
-                 "report": str(rep_path)},
-    )
-    write_manifest(man_path, manifest)
-    _emit(args, {**report, "outputs": manifest.outputs, "manifest": str(man_path)},
+    write_manifest(rep_path, report)
+    outputs = {"empirical": str(emp_path), "reference": str(ref_path), "report": str(rep_path)}
+    write_manifest(man_path, {"config": config, "tool_version": __version__,
+                              "rng_scheme": mc.RNG_SCHEME_ID, "wall_time_s": wall,
+                              "excluded": result.excluded, "outputs": outputs})
+    _emit(args, {**report, "outputs": outputs, "manifest": str(man_path)},
           f"sup-distance vs {ref_name}: {distance:.6f} "
           f"({result.empirical.total} samples, {result.excluded} excluded)\n"
           f"wrote {emp_path}, {ref_path}, {rep_path}, {man_path}")

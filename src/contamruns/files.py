@@ -2,20 +2,20 @@
 
 Distribution CSVs are UTF-8, comma-separated, with `#`-prefixed
 `key=value` metadata lines before the header.  Counts are integers and
-round-trip exactly; support values round-trip via repr.  Every
-experiment output directory gets a JSON manifest sufficient to rerun
-the experiment bit-identically.
+round-trip exactly; support values round-trip via repr.  The JSON
+records (an experiment's report and its manifest, which is sufficient to
+rerun it bit-identically) are plain objects; the package never reads
+them back.
 """
 from __future__ import annotations
 
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # the writers and the manifest need neither it nor numpy
+if TYPE_CHECKING:  # the writers need neither it nor numpy
     from .montecarlo import EmpiricalDistribution
 
 
@@ -104,7 +104,7 @@ def read_empirical_csv(path) -> tuple[EmpiricalDistribution, dict]:
     w = np.asarray(weights, dtype=np.int64)
     if not np.all(arr[1:] > arr[:-1]):  # np.diff wraps past int64
         raise FileFormatError("support values must be strictly increasing")
-    return EmpiricalDistribution(support=arr, weights=w, total=int(w.sum())), metadata
+    return EmpiricalDistribution(support=arr, weights=w), metadata
 
 
 def write_reference_csv(path, grid, cdf_values, metadata: dict) -> None:
@@ -112,25 +112,6 @@ def write_reference_csv(path, grid, cdf_values, metadata: dict) -> None:
                (f"{x!r},{float(c)!r}\n" for x, c in zip(grid, cdf_values)))
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to rerun an experiment bit-identically."""
-
-    config: dict            # mode, p, q1, q2, N, s, m, seed (strings/ints)
-    tool_version: str
-    rng_scheme: str
-    wall_time_s: float
-    excluded: int
-    outputs: dict = field(default_factory=dict)  # logical name -> path
-
-
-def write_manifest(path, manifest: RunManifest) -> None:
-    text = json.dumps(asdict(manifest), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-def read_manifest(path) -> RunManifest:
-    try:
-        return RunManifest(**json.loads(Path(path).read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, TypeError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"bad manifest: {exc}") from None
+def write_manifest(path, record: dict) -> None:
+    """A JSON record: keys sorted, two-space indent, one trailing newline."""
+    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")

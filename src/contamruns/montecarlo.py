@@ -77,21 +77,22 @@ class EmpiricalDistribution:
 
     support: np.ndarray
     weights: np.ndarray
-    total: int
 
     def __post_init__(self):
         if len(self.support) != len(self.weights):
             raise ValidationError("support and weights must have equal length")
         if np.any(self.support[1:] <= self.support[:-1]):  # np.diff wraps past int64
             raise ValidationError("support must be strictly increasing")
-        if int(self.weights.sum()) != self.total:
-            raise ValidationError("weights must sum to total")
+
+    @property
+    def total(self) -> int:
+        """The number of samples: the sum of the weights."""
+        return int(self.weights.sum())
 
     @classmethod
     def from_samples(cls, values) -> "EmpiricalDistribution":
-        values = np.asarray(values)
-        support, counts = np.unique(values, return_counts=True)
-        return cls(support=support, weights=counts.astype(np.int64), total=int(len(values)))
+        support, counts = np.unique(np.asarray(values), return_counts=True)
+        return cls(support=support, weights=counts.astype(np.int64))
 
     def cdf(self, x, side="right"):
         """Empirical P(value <= x) at each point of x, or P(value < x) with
@@ -106,7 +107,6 @@ class EmpiricalDistribution:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    config: ExperimentConfig
     empirical: EmpiricalDistribution
     excluded: int = 0  # hitting repetitions that hit the safety cap
 
@@ -146,8 +146,7 @@ def run_longest_experiment(cfg: ExperimentConfig, workers: int = 1) -> Experimen
         return scanner.best - center
 
     offsets = _map_reps(one, cfg.s, workers)
-    return ExperimentResult(config=cfg,
-                            empirical=EmpiricalDistribution.from_samples(offsets))
+    return ExperimentResult(empirical=EmpiricalDistribution.from_samples(offsets))
 
 
 def run_hitting_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -175,12 +174,12 @@ def run_hitting_experiment(cfg: ExperimentConfig, workers: int = 1) -> Experimen
         return math.nan  # capped; excluded from the empirical law
 
     scaled = np.asarray(_map_reps(one, cfg.s, workers))
-    capped = int(np.isnan(scaled).sum())
-    return ExperimentResult(
-        config=cfg,
-        empirical=EmpiricalDistribution.from_samples(scaled[~np.isnan(scaled)]),
-        excluded=capped,
-    )
+    capped = np.isnan(scaled)
+    if capped.all():
+        raise SizeError(f"none of the {cfg.s} repetitions hit within the cap of "
+                        f"{HITTING_SAFETY_CAP} symbols at m = {m}: no sample to report")
+    return ExperimentResult(empirical=EmpiricalDistribution.from_samples(scaled[~capped]),
+                            excluded=int(capped.sum()))
 
 
 def _sup_distance(empirical: EmpiricalDistribution, at, before) -> float:

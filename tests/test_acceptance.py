@@ -44,6 +44,7 @@ SKEWED = TrialDistribution(Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
 PEAKED = TrialDistribution(Fraction(4, 5), Fraction(1, 10), Fraction(1, 10))
 TRIPLES = (THIRDS, SKEWED, PEAKED)
 SEED = 20240817
+LONGEST_N = 10 ** 6  # criterion 7's sequence length
 
 
 ACCEPTANCE_LINES: list[str] = []
@@ -71,7 +72,7 @@ def hitting_runs():
 
 @pytest.fixture(scope="module")
 def longest_runs():
-    cfg = ExperimentConfig(dist=THIRDS, N=10 ** 6, s=1000, seed=SEED, mode="longest")
+    cfg = ExperimentConfig(dist=THIRDS, N=LONGEST_N, s=1000, seed=SEED, mode="longest")
     runs = {}
     for workers in (1, 4, 8):
         t0 = time.perf_counter()
@@ -174,8 +175,7 @@ def test_criterion_6_theorem1_desk_scale(hitting_runs):
 def test_criterion_7_theorem2_desk_scale(longest_runs):
     emp = longest_runs[8].empirical
     wall = longest_runs[8, "wall"]
-    N = longest_runs[8].config.N
-    distance = sup_distance_lattice(emp, lambda k: accompanying_cdf(THIRDS, N, k))
+    distance = sup_distance_lattice(emp, lambda k: accompanying_cdf(THIRDS, LONGEST_N, k))
     ok = distance <= 0.05 and wall < 600
     report(7, ok,
            f"N=1e6 s=1000: sup-distance to accompanying CDF = {distance:.4f} "

@@ -108,7 +108,7 @@ def test_oracle_never_crashes(query, mode, dist, m, N, budget):
 def csv_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "small_empirical.csv"
     emp = EmpiricalDistribution(support=np.array([-1, 0, 2], dtype=np.int64),
-                                weights=np.array([3, 5, 2], dtype=np.int64), total=10)
+                                weights=np.array([3, 5, 2], dtype=np.int64))
     write_empirical_csv(path, emp, {"mode": "longest", "p": "1/3", "q1": "1/3", "q2": "1/3",
                                     "N": 5000})
     return str(path)

@@ -17,9 +17,7 @@ from contamruns.cli import (
 )
 from contamruns.files import (
     FileFormatError,
-    RunManifest,
     read_empirical_csv,
-    read_manifest,
     write_empirical_csv,
     write_manifest,
 )
@@ -30,8 +28,7 @@ from contamruns.montecarlo import EmpiricalDistribution
 
 def test_empirical_csv_round_trip_integers(tmp_path):
     emp = EmpiricalDistribution(support=np.array([-2, 0, 3], dtype=np.int64),
-                                weights=np.array([5, 1, 94], dtype=np.int64),
-                                total=100)
+                                weights=np.array([5, 1, 94], dtype=np.int64))
     path = tmp_path / "emp.csv"
     write_empirical_csv(path, emp, {"mode": "longest", "seed": 7})
     back, meta = read_empirical_csv(path)
@@ -49,6 +46,11 @@ def test_empirical_csv_round_trip_floats(tmp_path):
     back, _ = read_empirical_csv(path)
     assert np.array_equal(back.support, emp.support)
     assert np.array_equal(back.weights, emp.weights)
+    # blank lines between the rows are skipped
+    path.write_text(path.read_text(encoding="utf-8").replace("\n", "\n\n"), encoding="utf-8")
+    again, _ = read_empirical_csv(path)
+    assert np.array_equal(again.support, emp.support)
+    assert np.array_equal(again.weights, emp.weights)
 
 
 @pytest.mark.parametrize("body,bad_line", [
@@ -68,6 +70,8 @@ def test_empirical_csv_round_trip_floats(tmp_path):
     ("\xff\xfevalue,count,ecdf\n1,1,1.0\n", 1),  # not UTF-8
     ("value,count,ecdf\n1,1,0.5\n2,1,1.0\xe9\n", 3),
     ("\xef\xbb\xbfvalue,count,ecdf\n1,1,0.5\n2,1,1.0\xe9\n", 3),  # after a byte-order mark
+    ("value,count,ecdf\n1,1,1.0\n# late=1\n", 3),   # metadata after data rows
+    ("value,count,ecdf\n", 1),                        # a header with no rows
 ])
 def test_malformed_csv_raises_with_line(tmp_path, body, bad_line):
     path = tmp_path / "bad.csv"
@@ -79,29 +83,23 @@ def test_malformed_csv_raises_with_line(tmp_path, body, bad_line):
 
 
 def test_manifest_round_trip(tmp_path):
-    manifest = RunManifest(
-        config={"mode": "hitting", "p": "1/3", "q1": "1/3", "q2": "1/3",
-                "N": 1, "s": 10, "m": 8, "seed": 5, "scale": 1.0},
-        tool_version="0.1.0",
-        rng_scheme="pcg64-seedseq-spawnkey-invcdf-v1",
-        wall_time_s=0.5,
-        excluded=0,
-        outputs={"empirical": "a.csv"},
-    )
+    manifest = {"config": {"mode": "hitting", "p": "1/3", "q1": "1/3", "q2": "1/3",
+                           "N": None, "s": 10, "m": 8, "seed": 5, "scale": 1.0},
+                "tool_version": "0.1.0", "rng_scheme": "pcg64-seedseq-spawnkey-invcdf-v1",
+                "wall_time_s": 0.5, "excluded": 0, "outputs": {"empirical": "a.csv"}}
     path = tmp_path / "manifest.json"
     write_manifest(path, manifest)
-    assert read_manifest(path) == manifest
-
-
-def test_manifest_rejects_garbage(tmp_path):
-    path = tmp_path / "manifest.json"
-    for body in (b"{not json", b'{"config": "\xff"}\n'):
-        path.write_bytes(body)
-        with pytest.raises(FileFormatError):
-            read_manifest(path)
+    text = path.read_text(encoding="utf-8")
+    assert json.loads(text) == manifest
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 # --- CLI ------------------------------------------------------------------
+
+def _read_json(path) -> dict:
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -196,17 +194,17 @@ def test_experiment_writes_all_outputs(capsys, tmp_path):
     emp, meta = read_empirical_csv(payload["outputs"]["empirical"])
     assert emp.total == 50
     assert meta["rng_scheme"] == "pcg64-seedseq-spawnkey-invcdf-v1"
-    report = json.loads((tmp_path / [n for n in written if "report" in n][0])
-                        .read_text())
+    report = _read_json(payload["outputs"]["report"])
     assert report["sup_distance"] == payload["sup_distance"]
+    assert set(_read_json(payload["manifest"])) == {
+        "config", "excluded", "outputs", "rng_scheme", "tool_version", "wall_time_s"}
 
 
 def test_experiment_reproducible_from_manifest(capsys, tmp_path):
     args = ["--seed", "21", "experiment", "--mode", "hitting", "--p", "1/3",
             "--q1", "1/3", "--q2", "1/3", "--N", "1", "--s", "20", "--m", "6"]
     run_cli(capsys, "--out", str(tmp_path / "a"), *args)
-    manifest = read_manifest(next((tmp_path / "a").glob("*_manifest.json")))
-    cfg = manifest.config
+    cfg = _read_json(next((tmp_path / "a").glob("*_manifest.json")))["config"]
     assert cfg["N"] is None  # a hitting run has no N to rerun with
     run_cli(capsys, "--out", str(tmp_path / "b"), "--seed", str(cfg["seed"]),
             "experiment", "--mode", cfg["mode"], "--p", cfg["p"], "--q1", cfg["q1"],
@@ -220,9 +218,9 @@ def test_experiment_scale_recorded(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "--out", str(tmp_path), "experiment",
                          "--figure", "1", "--scale", "0.001")
     assert code == 0
-    manifest = read_manifest(next(tmp_path.glob("*_manifest.json")))
-    assert manifest.config["scale"] == 0.001
-    assert manifest.config["N"] == 3000 and manifest.config["s"] == 3
+    config = _read_json(next(tmp_path.glob("*_manifest.json")))["config"]
+    assert config["scale"] == 0.001
+    assert config["N"] == 3000 and config["s"] == 3
 
 
 def test_compare_file_against_itself(capsys, tmp_path):
@@ -585,7 +583,7 @@ def test_hitting_experiment_needs_no_n(capsys, tmp_path):
                            "--mode", "hitting", *THIRDS_ARGS, "--s", "5", "--m", "5")
     assert code == 0
     payload = json.loads(out)
-    assert read_manifest(payload["manifest"]).config["N"] is None
+    assert _read_json(payload["manifest"])["config"]["N"] is None
     _, meta = read_empirical_csv(payload["outputs"]["empirical"])
     assert meta["N"] == "" and meta["m"] == "5"
     # the longest-run law needs N
@@ -600,9 +598,28 @@ def test_hitting_runs_record_no_n(capsys, tmp_path):
                            "--mode", "hitting", "--figure", "1", "--m", "10", "--s", "30")
     assert code == 0
     payload = json.loads(out)
-    assert read_manifest(payload["manifest"]).config["N"] is None
+    assert _read_json(payload["manifest"])["config"]["N"] is None
     with open(payload["outputs"]["empirical"], encoding="utf-8") as f:
         assert "# N=\n" in f.readlines()
+
+
+def test_hitting_run_with_every_repetition_capped_is_refused(capsys, tmp_path, monkeypatch):
+    # at thirds, m = 8, the expected hitting time is 199.3 symbols: under the
+    # cap of 200, so the run starts, but some repetitions pass the cap
+    monkeypatch.setattr("contamruns.montecarlo.HITTING_SAFETY_CAP", 200)
+    argv = ("--mode", "hitting", *THIRDS_ARGS, "--m", "8")
+    for seed in ("0", "3"):  # the one repetition of each seed is capped
+        code, _, err = run_cli(capsys, "--seed", seed, "--out", str(tmp_path / "none"),
+                               "experiment", *argv, "--s", "1")
+        assert code == EXIT_BUDGET and "cap of 200 symbols" in err
+        assert list((tmp_path / "none").iterdir()) == []
+    # with some repetitions left, the capped ones are counted as excluded
+    code, out, err = run_cli(capsys, "--json", "--seed", "0", "--out", str(tmp_path / "some"),
+                             "experiment", *argv, "--s", "10")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert (payload["samples"], payload["excluded"]) == (6, 4)
+    assert _read_json(payload["manifest"])["excluded"] == 4
 
 
 # --- where a missing input comes from: flags first, then presets or metadata -------
@@ -618,7 +635,7 @@ def test_flags_override_the_figure_preset(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--json", "--out", str(tmp_path), "experiment",
                            "--mode", "hitting", "--figure", "1", "--scale", "0.001", "--m", "12")
     assert code == 0
-    config = read_manifest(json.loads(out)["manifest"]).config
+    config = _read_json(json.loads(out)["manifest"])["config"]
     assert (config["p"], config["m"], config["s"]) == ("1/3", 12, 3)
 
 

@@ -189,11 +189,7 @@ def test_empirical_longest_law_matches_dp():
 
 def test_empirical_distribution_invariants():
     with pytest.raises(ValidationError):
-        EmpiricalDistribution(support=np.array([1, 1]), weights=np.array([1, 2]),
-                              total=3)
-    with pytest.raises(ValidationError):
-        EmpiricalDistribution(support=np.array([1, 2]), weights=np.array([1, 2]),
-                              total=4)
+        EmpiricalDistribution(support=np.array([1, 1]), weights=np.array([1, 2]))
 
 
 def test_sup_distance_self_reference_is_zero():
@@ -246,8 +242,7 @@ def test_sup_distance_lattice_cost_follows_the_support():
 
 
 def test_sup_distance_rejects_empty():
-    empty = EmpiricalDistribution(support=np.zeros(0), weights=np.zeros(0, dtype=int),
-                                  total=0)
+    empty = EmpiricalDistribution(support=np.zeros(0), weights=np.zeros(0, dtype=int))
     with pytest.raises(ValidationError):
         sup_distance(empty, theorem1_limit_cdf)
 
