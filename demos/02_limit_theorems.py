@@ -13,42 +13,45 @@ import math
 from fractions import Fraction
 
 from contamruns import (
+    AccompanyingLaw,
     TrialDistribution,
-    accompanying_cdf,
+    alpha_correction,
     dp_longest_cdf,
-    exponent_l,
-    h_function_terms,
-    m_of_n,
     theorem1_limit_cdf,
+    window_probability,
 )
 
 thirds = TrialDistribution(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 N = 3_000_000
+law = AccompanyingLaw(thirds, N)
 
 # the centering sequence, term by term
-r = m_of_n(thirds, N)
+r = law.m
 print(f"m({N}) = {r.total:.9f}, centering [m(N)] = {r.integer_part}")
 for name, value in r.terms.items():
     print(f"  {value:+12.6f}  {name}")
 
 # the correction polynomial entering the exponent
-print(f"\nH(0.5) at N={N}: {h_function_terms(thirds, N, 0.5).total:.9f}")
+print(f"\nH(0.5) at N={N}: {law.h(0.5).total:.9f}")
 
-# the accompanying CDF on the integer grid around the centering value
+# the accompanying CDF on the integer grid around the centering value, and
+# the exponent l = alpha(m) N P(A1) before its expansion in log N
 print("\nk   P(mu(N) - [m(N)] < k)   exact exponent l")
 for k in range(-3, 4):
-    cdf = accompanying_cdf(thirds, N, k)
-    l = exponent_l(thirds, N, r.integer_part + k)
+    cdf = law.at(k).cdf
+    m = r.integer_part + k
+    l = float(alpha_correction(thirds, m).alpha * N * window_probability(thirds, m))
     print(f"{k:+d}  {cdf:22.9f}   {l:.6f}  (exp(-l) = {math.exp(-l):.9f})")
 
 # at reachable N the exact capped-gap dynamic program gives the same law
 # with no asymptotics at all
 N_small = 100_000
-center = m_of_n(thirds, N_small).integer_part
+law_small = AccompanyingLaw(thirds, N_small)
+center = law_small.m.integer_part
 print(f"\nexact DP vs accompanying CDF at N={N_small}:")
 for k in (-1, 0, 1, 2):
     exact = dp_longest_cdf(thirds, N_small, center + k, mode="float", budget=math.inf)
-    approx = accompanying_cdf(thirds, N_small, k)
+    approx = law_small.at(k).cdf
     print(f"  k={k:+d}: DP {exact:.6f}   accompanying {approx:.6f}")
 
 # the hitting-time limit is plain Exp(1) after scaling

@@ -12,9 +12,8 @@ import importlib as _importlib
 _EXPORTS = {
     "analytic": (
         "AccompanyingLaw", "AlphaBreakdown", "ExpansionTerms", "accompanying_cdf",
-        "alpha_correction", "cfk_bounds", "conditional_survival", "exponent_l",
-        "h_function_terms", "joint_survival_aggregated", "m_of_n", "sandwich",
-        "theorem1_limit_cdf", "window_probability",
+        "alpha_correction", "cfk_bounds", "conditional_survival", "joint_survival_aggregated",
+        "m_of_n", "sandwich", "theorem1_limit_cdf", "window_probability",
     ),
     "model": (
         "DerivedConstants", "Outcome", "SizeError", "TrialDistribution", "ValidationError",

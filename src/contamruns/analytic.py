@@ -303,31 +303,11 @@ class AccompanyingLaw:
                                  clamped=log_l > 700.0 or log_l < -745.0)
 
 
+# kept while perfbench patches montecarlo.m_of_n by name
 def m_of_n(dist: TrialDistribution, N: int) -> ExpansionTerms:
     return AccompanyingLaw(dist, N).m
 
 
-def h_function_terms(dist: TrialDistribution, N: int, x: float) -> ExpansionTerms:
-    return AccompanyingLaw(dist, N).h(x)
-
-
-def accompanying_cdf_details(dist: TrialDistribution, N: int, k: int) -> AccompanyingValue:
-    return AccompanyingLaw(dist, N).at(k)
-
-
+# kept while perfbench imports it by name
 def accompanying_cdf(dist: TrialDistribution, N: int, k: int) -> float:
     return AccompanyingLaw(dist, N).at(k).cdf
-
-
-def exponent_l(dist: TrialDistribution, N: int, m: float) -> float:
-    """Exact pre-expansion exponent l = N p^(m-2) q1 q2 (m^2 C0 + m(C1-C0) + C2-C1).
-
-    Accepts real-valued m (the centering sequence is non-integer).
-    Equals alpha(m) * N * P(A1) at integer m.
-    """
-    if m < 2:
-        raise ValidationError(f"m must be >= 2, got {m}")
-    p, q1, q2 = dist.as_floats()
-    c = derive_constants(dist)
-    C0, C1, C2 = float(c.C0), float(c.C1), float(c.C2)
-    return N * p ** (m - 2) * q1 * q2 * (m * m * C0 + m * (C1 - C0) + C2 - C1)

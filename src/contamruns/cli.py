@@ -154,7 +154,7 @@ def cmd_analytic(args) -> int:
               f"/ denominator {payload['denominator']:.9g})")
     elif q == "mN":
         _require(args, "N")
-        r = an.m_of_n(_dist(args), args.N)
+        r = an.AccompanyingLaw(_dist(args), args.N).m
         payload = {"total": r.total, "integer_part": r.integer_part,
                    "fractional_part": r.fractional_part, "terms": r.terms}
         lines = [f"m(N) = {r.total!r}  [m(N)] = {r.integer_part}  "
@@ -163,14 +163,14 @@ def cmd_analytic(args) -> int:
         _emit(args, payload, "\n".join(lines))
     elif q == "H":
         _require(args, "N", "x")
-        r = an.h_function_terms(_dist(args), args.N, args.x)
+        r = an.AccompanyingLaw(_dist(args), args.N).h(args.x)
         payload = {"total": r.total, "terms": r.terms}
         lines = [f"H({args.x}) = {r.total!r}"]
         lines += [f"  {v:+.9g}  {k}" for k, v in r.terms.items()]
         _emit(args, payload, "\n".join(lines))
     elif q == "accompanying":
         _require(args, "N", "k")
-        d = an.accompanying_cdf_details(_dist(args), args.N, args.k)
+        d = an.AccompanyingLaw(_dist(args), args.N).at(args.k)
         payload = {"cdf": d.cdf, "clamped": d.clamped,  # an infinite exponent prints as null
                    "exponent": d.exponent if math.isfinite(d.exponent) else None}
         _emit(args, payload,

@@ -10,12 +10,9 @@ import contamruns.analytic
 from contamruns.analytic import (
     AccompanyingLaw,
     accompanying_cdf,
-    accompanying_cdf_details,
     alpha_correction,
     cfk_bounds,
     conditional_survival,
-    exponent_l,
-    h_function_terms,
     joint_survival_aggregated,
     m_of_n,
     sandwich,
@@ -247,15 +244,15 @@ def test_m_of_n_rejects_small_n():
 
 
 def test_h_function_frozen_values():
-    assert h_function_terms(THIRDS, N_FIG1, 0.0).total == 0.0
-    assert h_function_terms(THIRDS, N_FIG1, 0.5).total == pytest.approx(
-        -0.45060181884823843, rel=1e-12)
-    assert len(h_function_terms(THIRDS, N_FIG1, 1.0).terms) == 8
+    law = AccompanyingLaw(THIRDS, N_FIG1)
+    assert law.h(0.0).total == 0.0
+    assert law.h(0.5).total == pytest.approx(-0.45060181884823843, rel=1e-12)
+    assert len(law.h(1.0).terms) == 8
 
 
 def test_h_function_approaches_minus_x():
     # all corrections vanish as N grows; H(1) -> -1
-    assert abs(h_function_terms(THIRDS, 3 ** 60, 1.0).total + 1.0) < 0.05
+    assert abs(AccompanyingLaw(THIRDS, 3 ** 60).h(1.0).total + 1.0) < 0.05
 
 
 def test_accompanying_cdf_frozen_values():
@@ -286,11 +283,11 @@ def test_accompanying_cdf_monotone_and_clamped_tails():
             prev = v
     # mu(200) <= 200, so P(mu(200) - [m(200)] < 200) is 1
     for N, k, cdf, exponent in ((200, 200, 1.0, 0.0), (10 ** 6, -700, 0.0, math.inf)):
-        d = accompanying_cdf_details(THIRDS, N, k)
+        d = AccompanyingLaw(THIRDS, N).at(k)
         assert (d.cdf, d.exponent, d.clamped) == (cdf, exponent, True)
     assert accompanying_cdf(THIRDS, N_FIG1, -40) == 0.0
     assert accompanying_cdf(THIRDS, N_FIG1, 40) == 1.0
-    far = accompanying_cdf_details(THIRDS, N_FIG1, 500)
+    far = AccompanyingLaw(THIRDS, N_FIG1).at(500)
     assert far.cdf == 1.0 and far.clamped
 
 
@@ -305,7 +302,7 @@ def test_accompanying_law_derives_the_constants_once_per_query(monkeypatch):
     derive = contamruns.analytic.derive_constants
     monkeypatch.setattr(contamruns.analytic, "derive_constants",
                         lambda d: calls.append(d) or derive(d))
-    for query in (lambda: m_of_n(THIRDS, N_FIG1), lambda: h_function_terms(THIRDS, N_FIG1, 0.5),
+    for query in (lambda: m_of_n(THIRDS, N_FIG1), lambda: AccompanyingLaw(THIRDS, N_FIG1).h(0.5),
                   lambda: accompanying_cdf(THIRDS, N_FIG1, 0)):
         calls.clear()
         query()
@@ -329,26 +326,13 @@ def test_h_coefficients_are_h_grouped_by_power_of_x():
 
 # --- the exact exponent l ---------------------------------------------------
 
-def test_exponent_l_equals_alpha_times_expected_hits():
-    for d in TRIPLES:
-        for m in (5, 9, 14):
-            N = 10 ** 5
-            expected = float(alpha_correction(d, m).alpha) * N * float(
-                window_probability(d, m))
-            assert exponent_l(d, N, m) == pytest.approx(expected, rel=1e-12)
-
-
 def test_exponent_l_matches_accompanying_exponent():
-    # the accompanying exponent is l * (1 + O((log N)^-3)); the measured
-    # constant over k in -3..3 at N = 3e6 stays below 125
-    center = m_of_n(THIRDS, N_FIG1).integer_part
+    # the accompanying exponent expands l = alpha(m) N P(A1) to within a factor
+    # 1 + O((log N)^-3); the measured constant over k in -3..3 at N = 3e6 stays
+    # below 125
+    law = AccompanyingLaw(THIRDS, N_FIG1)
     budget = 125.0 / math.log(N_FIG1, 3) ** 3
     for k in range(-3, 4):
-        l_exact = exponent_l(THIRDS, N_FIG1, center + k)
-        l_acc = accompanying_cdf_details(THIRDS, N_FIG1, k).exponent
-        assert abs(l_acc - l_exact) <= budget * l_exact
-
-
-def test_exponent_l_rejects_small_m():
-    with pytest.raises(ValidationError):
-        exponent_l(THIRDS, 100, 1.5)
+        m = law.m.integer_part + k
+        l_exact = float(alpha_correction(THIRDS, m).alpha * N_FIG1 * window_probability(THIRDS, m))
+        assert abs(law.at(k).exponent - l_exact) <= budget * l_exact

@@ -729,6 +729,30 @@ def test_json_output_is_strict(capsys):
     assert payload == {"cdf": 0.0, "clamped": True, "exponent": None}
 
 
+@pytest.mark.parametrize("argv,line,values", [
+    (("mN", *THIRDS_ARGS, "--N", "3000000"),
+     "m(N) = 18.844498540720505  [m(N)] = 18  {m(N)} = 0.8444985407205046",
+     {"total": 18.844498540720505, "integer_part": 18, "fractional_part": 0.8444985407205046}),
+    (("H", *THIRDS_ARGS, "--N", "3000000", "--x", "0.5"),
+     "H(0.5) = -0.4506018188482384", {"total": -0.4506018188482384}),
+    (("accompanying", *THIRDS_ARGS, "--N", "3000000", "--k", "0"),
+     "P(mu(N) - [m(N)] < 0) = 0.21536676193732868",
+     {"cdf": 0.21536676193732868, "clamped": False, "exponent": 1.5354128347212874}),
+    (("accompanying", "--p", ".8", "--q1", ".1", "--q2", ".1", "--N", "3000000", "--k", "-30"),
+     "P(mu(N) - [m(N)] < -30) = 0.18075457225659197",
+     {"cdf": 0.18075457225659197, "clamped": False, "exponent": 1.710615122237797}),
+])
+def test_accompanying_law_prints_pinned_values(capsys, argv, line, values):
+    # the three queries that read AccompanyingLaw, pinned to the last digit in both forms
+    code, out, err = run_cli(capsys, "analytic", *argv)
+    assert code == 0, err
+    assert out.splitlines()[0] == line
+    code, out, err = run_cli(capsys, "--json", "analytic", *argv)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert {k: payload[k] for k in values} == values
+
+
 def test_h_is_answered_where_k_leaves_the_double_range(capsys):
     # K needs C1^2 ~ 10^400; H does not use K, m(N) and the CDF do
     tiny = Fraction(1, 10 ** 200)

@@ -122,9 +122,12 @@ def test_check_window_length():
 
 def test_package_exports_functions_and_classes_only():
     # the submodules are reached as contamruns.<name>, not listed among the exports;
-    # the references only the tests use live in tests/crosscheck.py
+    # the references only the tests use live in tests/crosscheck.py; H(x) and the
+    # accompanying value come from AccompanyingLaw, and the pre-expansion exponent
+    # is alpha_correction(d, m).alpha * N * window_probability(d, m)
     moved = {"joint_survival_casewise", "enumerate_event", "longest_cdf_by_enumeration",
-             "simulate_sequence", "is_window_valid", "swapped"}
+             "simulate_sequence", "is_window_valid", "swapped",
+             "h_function_terms", "accompanying_cdf_details", "exponent_l"}
     assert not any(inspect.ismodule(getattr(contamruns, name)) for name in contamruns.__all__)
     assert moved.isdisjoint(contamruns.__all__)
     assert not hasattr(TrialDistribution, "swapped")
