@@ -18,9 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from contamruns import (
-    ExperimentConfig,
+    AccompanyingLaw,
     TrialDistribution,
-    accompanying_cdf,
     run_hitting_experiment,
     run_longest_experiment,
     sup_distance,
@@ -32,25 +31,26 @@ thirds = TrialDistribution(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 SEED = 20240817
 
 # --- longest run: mu(N) - [m(N)] vs the accompanying CDF -------------------
-cfg = ExperimentConfig(dist=thirds, N=100_000, s=400, seed=SEED, mode="longest")
-result = run_longest_experiment(cfg, workers=8)
+N, s = 100_000, 400
+result = run_longest_experiment(thirds, N, s, SEED, workers=8)
 emp = result.empirical
-distance = sup_distance_lattice(emp, lambda k: accompanying_cdf(thirds, cfg.N, k))
-print(f"longest run, N={cfg.N}, s={cfg.s}:")
+law = AccompanyingLaw(thirds, N)
+distance = sup_distance_lattice(emp, lambda k: law.at(k).cdf)
+print(f"longest run, N={N}, s={s}:")
 print(f"  offsets observed: {emp.support.tolist()}")
 print(f"  sup-distance to accompanying CDF: {distance:.4f}")
 
 # --- hitting time: tau_m * alpha * P(A1) vs Exp(1) --------------------------
-cfg = ExperimentConfig(dist=thirds, N=None, s=1000, seed=SEED, mode="hitting", m=10)
-result = run_hitting_experiment(cfg, workers=8)
+m, s = 10, 1000
+result = run_hitting_experiment(thirds, m, s, SEED, workers=8)
 emp = result.empirical
 mean = float(np.average(emp.support, weights=emp.weights))
-print(f"\nhitting time, m={cfg.m}, s={cfg.s}:")
+print(f"\nhitting time, m={m}, s={s}:")
 print(f"  scaled sample mean: {mean:.4f} (Exp(1) mean is 1)")
 print(f"  sup-distance to 1 - e^-x: {sup_distance(emp, theorem1_limit_cdf):.4f}")
 print(f"  repetitions excluded at the safety cap: {result.excluded}")
 
 # --- determinism -------------------------------------------------------------
-again = run_hitting_experiment(cfg, workers=1).empirical
+again = run_hitting_experiment(thirds, m, s, SEED, workers=1).empirical
 print(f"\nsame seed, different worker count, identical output: "
       f"{np.array_equal(emp.support, again.support)}")

@@ -20,9 +20,8 @@ _EXPORTS = {
         "derive_constants",
     ),
     "montecarlo": (
-        "EmpiricalDistribution", "ExperimentConfig", "ExperimentResult",
-        "run_hitting_experiment", "run_longest_experiment", "sup_distance",
-        "sup_distance_lattice", "sup_distance_step",
+        "EmpiricalDistribution", "ExperimentResult", "run_hitting_experiment",
+        "run_longest_experiment", "sup_distance", "sup_distance_lattice", "sup_distance_step",
     ),
     "oracle": (
         "dp_longest_cdf", "enumerate_conditional", "joint_survival_by_enumeration",

@@ -226,11 +226,14 @@ def cmd_oracle(args) -> int:
 
 # --- experiment --------------------------------------------------------
 
-def _experiment_config(args) -> tuple[mc.ExperimentConfig, float]:
+def _experiment_size(args) -> tuple[int | None, int | None, int, float]:
+    """(N, m, s, scale) after the figure preset and --scale: the mode reads
+    N (longest) or m (hitting), and the other is None."""
     if args.figure is not None:
         _fill_unset(args, zip(("p", "q1", "q2", "N", "s", "m"), FIGURE_PRESETS[args.figure]))
     _require(args, "s", "N" if args.mode == "longest" else "m")
-    N = args.N if args.mode == "longest" else None  # hitting runs are unbounded
+    # hitting runs are unbounded; the longest run has no window
+    N, m = (args.N, None) if args.mode == "longest" else (None, args.m)
     s = args.s
     scale = args.scale
     if scale is not None:
@@ -239,9 +242,7 @@ def _experiment_config(args) -> tuple[mc.ExperimentConfig, float]:
         # exact products: an int N past the double range does not overflow
         N = None if N is None else max(1, round(N * Fraction(scale)))
         s = max(1, round(s * Fraction(scale)))
-    cfg = mc.ExperimentConfig(dist=_dist(args), N=N, s=s, seed=args.seed,
-                              mode=args.mode, m=args.m if args.mode == "hitting" else None)
-    return cfg, (scale if scale is not None else 1.0)
+    return N, m, s, (scale if scale is not None else 1.0)
 
 
 def _law_for(mode) -> str:
@@ -272,22 +273,25 @@ def _against(empirical, ref_name: str, dist=None, N=None):
 def cmd_experiment(args) -> int:
     if not 1 <= args.threads <= MAX_THREADS:
         raise ValidationError(f"--threads must be in 1..{MAX_THREADS}, got {args.threads}")
-    cfg, scale = _experiment_config(args)
+    N, m, s, scale = _experiment_size(args)
+    dist = _dist(args)
     # named from every field that changes the results; floats by repr keep every digit
-    p, q1, q2 = cfg.dist.as_floats()
-    size = f"N{cfg.N}" if cfg.mode == "longest" else f"m{cfg.m}"
-    prefix = f"{cfg.mode}_p{p!r}_q1{q1!r}_q2{q2!r}_{size}_s{cfg.s}_seed{cfg.seed}"
+    p, q1, q2 = dist.as_floats()
+    size = f"N{N}" if args.mode == "longest" else f"m{m}"
+    prefix = f"{args.mode}_p{p!r}_q1{q1!r}_q2{q2!r}_{size}_s{s}_seed{args.seed}"
     if len(prefix) > 200:  # checked before the run: file names stop at 255 bytes
         raise ValidationError("--seed, --N or --s is too long for the output file names")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    run = mc.run_longest_experiment if cfg.mode == "longest" else mc.run_hitting_experiment
     t0 = time.perf_counter()
-    result = run(cfg, workers=args.threads)
+    if args.mode == "longest":
+        result = mc.run_longest_experiment(dist, N, s, args.seed, workers=args.threads)
+    else:
+        result = mc.run_hitting_experiment(dist, m, s, args.seed, workers=args.threads)
     wall = time.perf_counter() - t0
 
-    config = {"mode": cfg.mode, "p": args.p, "q1": args.q1, "q2": args.q2,
-              "N": cfg.N, "s": cfg.s, "m": cfg.m, "seed": cfg.seed, "scale": scale}
+    config = {"mode": args.mode, "p": args.p, "q1": args.q1, "q2": args.q2,
+              "N": N, "s": s, "m": m, "seed": args.seed, "scale": scale}
     meta = {**{k: "" if v is None else v for k, v in config.items()},
             "rng_scheme": mc.RNG_SCHEME_ID, "tool_version": __version__}
     emp_path = out_dir / f"{prefix}_empirical.csv"
@@ -296,8 +300,8 @@ def cmd_experiment(args) -> int:
     man_path = out_dir / f"{prefix}_manifest.json"
 
     write_empirical_csv(emp_path, result.empirical, meta)
-    ref_name = _law_for(cfg.mode)
-    distance, column = _against(result.empirical, ref_name, cfg.dist, cfg.N)
+    ref_name = _law_for(args.mode)
+    distance, column = _against(result.empirical, ref_name, dist, N)
     write_reference_csv(ref_path, result.empirical.support.tolist(), column,
                         {**meta, "reference": ref_name})
     report = {"sup_distance": distance, "reference": ref_name,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -47,28 +47,6 @@ def outcome_chunks(dist: TrialDistribution, rng: np.random.Generator,
         n = min(chunk_size, remaining)
         yield _draw_chunk(rng, floats, n)
         remaining -= n
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    dist: TrialDistribution
-    N: Optional[int]  # sequence length; longest mode only, hitting runs are unbounded
-    s: int
-    seed: int
-    mode: str  # 'longest' | 'hitting'
-    m: Optional[int] = None
-
-    def __post_init__(self):
-        if self.mode not in ("longest", "hitting"):
-            raise ValidationError(f"mode must be 'longest' or 'hitting', got {self.mode!r}")
-        if self.mode == "longest" and self.N is None:
-            raise ValidationError("longest mode requires a sequence length N")
-        if (self.N is not None and self.N < 1) or self.s < 1:
-            raise ValidationError(f"need N >= 1 and s >= 1, got N={self.N}, s={self.s}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.mode == "hitting" and (self.m is None or self.m < 1):
-            raise ValidationError("hitting mode requires a window length m >= 1")
 
 
 @dataclass(frozen=True)
@@ -111,72 +89,71 @@ class ExperimentResult:
     excluded: int = 0  # hitting repetitions that hit the safety cap
 
 
-def _map_reps(fn: Callable[[int], float], s: int, workers: int) -> list:
+def _map_reps(fn: Callable[[np.random.Generator], object], s: int, seed: int,
+              workers: int) -> list:
+    """[fn(repetition_rng(seed, i)) for i in range(s)], on up to `workers` threads."""
+    if s < 1 or seed < 0:
+        raise ValidationError(f"need s >= 1 and seed >= 0, got s={s}, seed={seed}")
     # Freeing one block just under glibc's 32 MiB mmap cap lifts its mmap and
     # trim thresholds to ~31 and ~62 MiB: every chunk's temporaries then stay
     # on the heap, not mapped and page-faulted per repetition (other libcs: no-op).
     np.empty(31 << 20, np.uint8)
     workers = min(workers, s)
     if workers <= 1:
-        return [fn(i) for i in range(s)]
+        return [fn(repetition_rng(seed, i)) for i in range(s)]
     # one task per worker: worker w runs repetitions w, w + W, w + 2W, ...
     # into their slots, so results stay in repetition order
     results = [None] * s
 
     def block(w: int) -> None:
         for i in range(w, s, workers):
-            results[i] = fn(i)
+            results[i] = fn(repetition_rng(seed, i))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(block, range(workers)))
     return results
 
 
-def run_longest_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+def run_longest_experiment(dist: TrialDistribution, N: int, s: int, seed: int,
+                           workers: int = 1) -> ExperimentResult:
     """Empirical law of mu(N) - [m(N)] over s fused simulate+scan runs."""
-    if cfg.mode != "longest":
-        raise ValidationError("config mode must be 'longest'")
-    center = m_of_n(cfg.dist, cfg.N).integer_part
+    center = m_of_n(dist, N).integer_part
 
-    def one(rep: int) -> int:
-        rng = repetition_rng(cfg.seed, rep)
+    def one(rng: np.random.Generator) -> int:
         scanner = ChunkScanner()
-        for chunk in outcome_chunks(cfg.dist, rng, cfg.N):
+        for chunk in outcome_chunks(dist, rng, N):
             scanner.push(chunk)
         return scanner.best - center
 
-    offsets = _map_reps(one, cfg.s, workers)
+    offsets = _map_reps(one, s, seed, workers)
     return ExperimentResult(empirical=EmpiricalDistribution.from_samples(offsets))
 
 
-def run_hitting_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+def run_hitting_experiment(dist: TrialDistribution, m: int, s: int, seed: int,
+                           workers: int = 1) -> ExperimentResult:
     """Empirical law of tau_m * alpha * P(A1) over s unbounded-horizon runs."""
-    if cfg.mode != "hitting":
-        raise ValidationError("config mode must be 'hitting'")
-    m = cfg.m
-    alpha = alpha_correction(cfg.dist, m).alpha
+    alpha = alpha_correction(dist, m).alpha
     if not alpha > 0:
         raise ValidationError(f"alpha * P(A1) must be > 0; alpha = {float(alpha):.6g} at m = {m}")
-    scale = float(alpha) * float(window_probability(cfg.dist, m))
+    scale = float(alpha) * float(window_probability(dist, m))
     if scale == 0.0 or 1.0 / scale > HITTING_SAFETY_CAP:
         raise SizeError(f"the expected hitting time 1/(alpha * P(A1)) at m = {m} is past the "
                         f"cap of {HITTING_SAFETY_CAP} symbols per repetition")
     # expected tau is 1/scale; chunk a few multiples at a time
     chunk_size = int(min(_CHUNK, max(4 * m, 2.0 / scale)))
 
-    def one(rep: int) -> float:
-        rng = repetition_rng(cfg.seed, rep)
+    def one(rng: np.random.Generator) -> float:
         scanner = ChunkScanner()
-        for chunk in outcome_chunks(cfg.dist, rng, HITTING_SAFETY_CAP, chunk_size):
+        for chunk in outcome_chunks(dist, rng, HITTING_SAFETY_CAP, chunk_size):
             hit = scanner.push_until_hit(chunk, m)
             if hit is not None:
                 return hit * scale
         return math.nan  # capped; excluded from the empirical law
 
-    scaled = np.asarray(_map_reps(one, cfg.s, workers))
+    scaled = np.asarray(_map_reps(one, s, seed, workers))
     capped = np.isnan(scaled)
     if capped.all():
-        raise SizeError(f"none of the {cfg.s} repetitions hit within the cap of "
+        raise SizeError(f"none of the {s} repetitions hit within the cap of "
                         f"{HITTING_SAFETY_CAP} symbols at m = {m}: no sample to report")
     return ExperimentResult(empirical=EmpiricalDistribution.from_samples(scaled[~capped]),
                             excluded=int(capped.sum()))

@@ -20,7 +20,6 @@ from contamruns.analytic import (
 )
 from contamruns.model import TrialDistribution, ValidationError
 from contamruns.montecarlo import (
-    ExperimentConfig,
     outcome_chunks,
     repetition_rng,
     run_hitting_experiment,
@@ -61,22 +60,20 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def hitting_runs():
-    cfg = ExperimentConfig(dist=THIRDS, N=1, s=4000, seed=SEED, mode="hitting", m=12)
     runs = {}
     for workers in (1, 4, 8):
         t0 = time.perf_counter()
-        runs[workers] = run_hitting_experiment(cfg, workers=workers)
+        runs[workers] = run_hitting_experiment(THIRDS, 12, 4000, SEED, workers=workers)
         runs[workers, "wall"] = time.perf_counter() - t0
     return runs
 
 
 @pytest.fixture(scope="module")
 def longest_runs():
-    cfg = ExperimentConfig(dist=THIRDS, N=LONGEST_N, s=1000, seed=SEED, mode="longest")
     runs = {}
     for workers in (1, 4, 8):
         t0 = time.perf_counter()
-        runs[workers] = run_longest_experiment(cfg, workers=workers)
+        runs[workers] = run_longest_experiment(THIRDS, LONGEST_N, 1000, SEED, workers=workers)
         runs[workers, "wall"] = time.perf_counter() - t0
     return runs
 
@@ -185,8 +182,7 @@ def test_criterion_7_theorem2_desk_scale(longest_runs):
 def test_criterion_8_near_one_preset_completes():
     # figure 8 preset (p=0.8, q1=q2=0.1, m=72) at scale 0.1; qualitative only
     dist = TrialDistribution(Fraction(4, 5), Fraction(1, 10), Fraction(1, 10))
-    cfg = ExperimentConfig(dist=dist, N=1, s=300, seed=SEED, mode="hitting", m=72)
-    result = run_hitting_experiment(cfg, workers=8)
+    result = run_hitting_experiment(dist, 72, 300, SEED, workers=8)
     distance = sup_distance(result.empirical, theorem1_limit_cdf)
     report(8, True,
            f"p=0.8 m=72 preset at scale 0.1 completed "

@@ -649,6 +649,23 @@ def test_missing_or_unknown_experiment_inputs_are_usage_errors(capsys, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("mode_args", [
+    ("--N", "200", "--s", "2"),
+    ("--mode", "hitting", "--m", "5", "--s", "2"),
+])
+@pytest.mark.parametrize("top,extra,named", [
+    (("--seed", "-1"), (), "seed=-1"),
+    ((), ("--s", "0"), "s=0"),
+])
+def test_negative_seed_or_no_repetitions_is_refused_by_name(capsys, tmp_path, mode_args,
+                                                          top, extra, named):
+    # the runner refuses it: --out may be created, but stays empty
+    code, _, err = run_cli(capsys, *top, "--out", str(tmp_path / "out"), "experiment",
+                           *THIRDS_ARGS, *mode_args, *extra)
+    assert code == EXIT_VALIDATION and named in err
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+
 def test_empty_metadata_counts_as_missing(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--json", "--out", str(tmp_path), "experiment",
                            "--mode", "hitting", *THIRDS_ARGS, "--s", "5", "--m", "5")

@@ -16,7 +16,6 @@ from contamruns.analytic import m_of_n, theorem1_limit_cdf
 from contamruns.model import TrialDistribution, ValidationError
 from contamruns.montecarlo import (
     EmpiricalDistribution,
-    ExperimentConfig,
     _map_reps,
     repetition_rng,
     run_hitting_experiment,
@@ -58,8 +57,7 @@ def test_repetition_streams_are_distinct():
 
 def test_extending_s_preserves_prefix():
     def offsets(s):
-        cfg = ExperimentConfig(dist=THIRDS, N=100, s=s, seed=9, mode="longest")
-        result = run_longest_experiment(cfg)
+        result = run_longest_experiment(THIRDS, 100, s, 9)
         return result.empirical
 
     small, large = offsets(10), offsets(20)
@@ -82,17 +80,17 @@ def test_seeded_laws_are_pinned(run):
     # is exercised on real draws
     p = Fraction(run["p"])
     dist = TrialDistribution(p, (1 - p) / 2, (1 - p) / 2)
-    cfg = ExperimentConfig(dist=dist, N=run["N"], s=run["s"], seed=5, mode=run["mode"],
-                           m=run["m"])
-    experiment = run_longest_experiment if run["mode"] == "longest" else run_hitting_experiment
-    law = experiment(cfg).empirical
+    if run["mode"] == "longest":
+        law = run_longest_experiment(dist, run["N"], run["s"], 5).empirical
+    else:
+        law = run_hitting_experiment(dist, run["m"], run["s"], 5).empirical
     assert law.support.tolist() == run["support"]
     assert law.weights.tolist() == run["weights"]
 
 
 def test_worker_count_is_invisible():
-    cfg = ExperimentConfig(dist=THIRDS, N=500, s=64, seed=11, mode="longest")
-    results = [run_longest_experiment(cfg, workers=w).empirical for w in (1, 4, 8)]
+    results = [run_longest_experiment(THIRDS, 500, 64, 11, workers=w).empirical
+               for w in (1, 4, 8)]
     for other in results[1:]:
         assert np.array_equal(results[0].support, other.support)
         assert np.array_equal(results[0].weights, other.weights)
@@ -101,30 +99,39 @@ def test_worker_count_is_invisible():
 @pytest.mark.parametrize("s, workers", [(1, 2), (5, 8), (7, 2)])
 def test_map_reps_keeps_repetition_order(s, workers):
     # later repetitions finish first, so completion order is not repetition
-    # order; a short switch interval interleaves the workers' slot writes
-    def fn(i):
-        time.sleep(0.002 * (s - i))
-        return i * i
+    # order; a short switch interval interleaves the workers' slot writes.
+    # Repetition i draws from repetition_rng(seed, i), whichever worker runs it
+    seed = 4
+    expected = [repetition_rng(seed, i).random() for i in range(s)]
+
+    def fn(rng):
+        draw = rng.random()
+        time.sleep(0.002 * (s - expected.index(draw)))
+        return draw
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert _map_reps(fn, s, workers) == [i * i for i in range(s)]
+        assert _map_reps(fn, s, seed, workers) == expected
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_map_reps_propagates_an_exception():
-    def fn(i):
-        if i == 3:
+    seed = 6
+    third = repetition_rng(seed, 3).random()
+
+    def fn(rng):
+        draw = rng.random()
+        if draw == third:
             raise ArithmeticError("repetition 3")
-        return i
+        return draw
     with pytest.raises(ArithmeticError, match="repetition 3"):
-        _map_reps(fn, 7, 2)
+        _map_reps(fn, 7, seed, 2)
 
 
 def test_hitting_worker_count_is_invisible():
-    cfg = ExperimentConfig(dist=THIRDS, N=None, s=200, seed=5, mode="hitting", m=8)
-    results = [run_hitting_experiment(cfg, workers=w).empirical for w in (1, 2, 3)]
+    results = [run_hitting_experiment(THIRDS, 8, 200, 5, workers=w).empirical
+               for w in (1, 2, 3)]
     for other in results[1:]:
         assert np.array_equal(results[0].support, other.support)
         assert np.array_equal(results[0].weights, other.weights)
@@ -133,26 +140,27 @@ def test_hitting_worker_count_is_invisible():
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        ExperimentConfig(dist=THIRDS, N=100, s=10, seed=0, mode="both")
+        run_longest_experiment(THIRDS, 0, 10, 0)
     with pytest.raises(ValidationError):
-        ExperimentConfig(dist=THIRDS, N=0, s=10, seed=0, mode="longest")
-    with pytest.raises(ValidationError):
-        ExperimentConfig(dist=THIRDS, N=100, s=10, seed=0, mode="hitting")
+        run_hitting_experiment(THIRDS, None, 10, 0)
+    for run, size in ((run_longest_experiment, 100), (run_hitting_experiment, 8)):
+        with pytest.raises(ValidationError, match="s=0"):
+            run(THIRDS, size, 0, 0)
+        with pytest.raises(ValidationError, match="seed=-1"):
+            run(THIRDS, size, 10, -1)
 
 
 # --- experiments -------------------------------------------------------------
 
 def test_longest_offsets_are_integers_and_cdf_reaches_one():
-    cfg = ExperimentConfig(dist=THIRDS, N=2000, s=200, seed=3, mode="longest")
-    emp = run_longest_experiment(cfg, workers=4).empirical
+    emp = run_longest_experiment(THIRDS, 2000, 200, 3, workers=4).empirical
     assert np.issubdtype(emp.support.dtype, np.integer)
     assert emp.cdf(emp.support)[-1] == pytest.approx(1.0, abs=0)
     assert emp.total == 200
 
 
 def test_hitting_scaled_values_positive():
-    cfg = ExperimentConfig(dist=THIRDS, N=1, s=100, seed=3, mode="hitting", m=8)
-    result = run_hitting_experiment(cfg, workers=4)
+    result = run_hitting_experiment(THIRDS, 8, 100, 3, workers=4)
     assert result.excluded == 0
     assert result.empirical.support.min() > 0
     # sample mean of an Exp(1)-ish law; loose bound at s=100
@@ -166,18 +174,16 @@ def test_hitting_scaled_values_positive():
 def test_longest_repetitions_reuse_the_heap():
     # 3 * 2^20 symbols span several draw chunks per repetition; once the
     # first run has grown the heap, the second maps and faults no new pages
-    cfg = ExperimentConfig(dist=THIRDS, N=3 << 20, s=2, seed=3, mode="longest")
-    run_longest_experiment(cfg)
+    run_longest_experiment(THIRDS, 3 << 20, 2, 3)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    run_longest_experiment(cfg)
+    run_longest_experiment(THIRDS, 3 << 20, 2, 3)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 500
 
 
 def test_empirical_longest_law_matches_dp():
     N, m, s = 200, 6, 100_000
-    cfg = ExperimentConfig(dist=THIRDS, N=N, s=s, seed=17, mode="longest")
-    emp = run_longest_experiment(cfg).empirical
+    emp = run_longest_experiment(THIRDS, N, s, 17).empirical
     exact = float(dp_longest_cdf(THIRDS, N, m))
     center = m_of_n(THIRDS, N).integer_part
     observed = emp.cdf(m - center - 1)  # P(mu < m) = P(offset <= m - center - 1)
