@@ -22,7 +22,7 @@ from .scan import ChunkScanner
 
 RNG_SCHEME_ID = "pcg64-seedseq-spawnkey-invcdf-v1"
 HITTING_SAFETY_CAP = 10 ** 9
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16  # symbols per draw; longer draws are no faster and raise peak RSS
 
 
 def repetition_rng(seed: int, rep: int) -> np.random.Generator:

@@ -112,15 +112,6 @@ def enumerate_conditional(dist: TrialDistribution, m: int):
     return joint_survival_by_enumeration(dist, m) / window_probability_by_enumeration(dist, m)
 
 
-def longest_run_distribution_by_enumeration(dist: TrialDistribution, n: int) -> dict:
-    """Exact PMF of mu(n) as {length: probability} over all 3^n sequences."""
-    codes = _all_sequences(n)
-    best = np.zeros(codes.shape[0], dtype=np.int32)
-    for _, lengths in _suffix_length_columns(codes):
-        np.maximum(best, lengths, out=best)
-    return _law(dist, codes, best)
-
-
 # --- dynamic program over the minimal suffix chain --------------------
 
 # Cost model of dp_longest_cdf, in word operations of 1-3 ns each.

@@ -3,7 +3,7 @@
 The package ships the routes its CLI and demos run.  The helpers here
 are independent of them on purpose: a casewise sum beside the
 aggregated closed form, enumeration of any event or of the longest-run
-CDF beside the DP, one materialized sequence beside the chunked scan,
+law beside the DP, one materialized sequence beside the chunked scan,
 and a window test by symbol counts.  They import the package's private
 enumeration helpers and size checks, so they stay within its limits.
 """
@@ -17,7 +17,7 @@ import numpy as np
 from contamruns.analytic import _check_exact_size
 from contamruns.model import Outcome, TrialDistribution, ValidationError, check_window_length
 from contamruns.montecarlo import outcome_chunks, repetition_rng
-from contamruns.oracle import _all_sequences, _law, longest_run_distribution_by_enumeration
+from contamruns.oracle import _all_sequences, _law, _suffix_length_columns
 
 
 def swapped(dist: TrialDistribution) -> TrialDistribution:
@@ -83,6 +83,15 @@ def enumerate_event(dist: TrialDistribution, n: int,
     holds = np.fromiter((predicate(tuple(row.tolist())) for row in codes), dtype=bool,
                         count=codes.shape[0])
     return _law(dist, codes, holds).get(True, 0)
+
+
+def longest_run_distribution_by_enumeration(dist: TrialDistribution, n: int) -> dict:
+    """Exact PMF of mu(n) as {length: probability} over all 3^n sequences."""
+    codes = _all_sequences(n)
+    best = np.zeros(codes.shape[0], dtype=np.int32)
+    for _, lengths in _suffix_length_columns(codes):
+        np.maximum(best, lengths, out=best)
+    return _law(dist, codes, best)
 
 
 def longest_cdf_by_enumeration(dist: TrialDistribution, N: int, m: int):

@@ -31,12 +31,11 @@ from contamruns.oracle import (
     dp_longest_cdf,
     enumerate_conditional,
     joint_survival_by_enumeration,
-    longest_run_distribution_by_enumeration,
     window_probability_by_enumeration,
 )
 from contamruns.scan import ChunkScanner
 
-from crosscheck import joint_survival_casewise
+from crosscheck import joint_survival_casewise, longest_run_distribution_by_enumeration
 
 THIRDS = TrialDistribution(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 SKEWED = TrialDistribution(Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import contamruns
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -14,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
                                             "H(0.5) at N=3000000: -0.450601819"),
                                            ("03_experiments.py", "identical output: True")])
 def test_demo_runs(name, expected, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # the demos import the same contamruns as the tests: src/ or the installed package
+    env = {**os.environ, "PYTHONPATH": str(Path(contamruns.__file__).resolve().parent.parent)}
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -206,12 +206,14 @@ def test_experiment_reproducible_from_manifest(capsys, tmp_path):
     run_cli(capsys, "--out", str(tmp_path / "a"), *args)
     cfg = _read_json(next((tmp_path / "a").glob("*_manifest.json")))["config"]
     assert cfg["N"] is None  # a hitting run has no N to rerun with
-    run_cli(capsys, "--out", str(tmp_path / "b"), "--seed", str(cfg["seed"]),
+    # the thread count is not recorded: it must not change the output
+    run_cli(capsys, "--out", str(tmp_path / "b"), "--threads", "2", "--seed", str(cfg["seed"]),
             "experiment", "--mode", cfg["mode"], "--p", cfg["p"], "--q1", cfg["q1"],
             "--q2", cfg["q2"], "--s", str(cfg["s"]), "--m", str(cfg["m"]))
-    first = next((tmp_path / "a").glob("*_empirical.csv")).read_text()
-    second = next((tmp_path / "b").glob("*_empirical.csv")).read_text()
-    assert first == second
+    for output in ("*_empirical.csv", "*_report.json"):
+        first = next((tmp_path / "a").glob(output)).read_bytes()
+        second = next((tmp_path / "b").glob(output)).read_bytes()
+        assert first == second, output
 
 
 def test_experiment_scale_recorded(capsys, tmp_path):
@@ -469,6 +471,8 @@ TINY_Q2_ARGS = ("--p", "1/2", "--q1", "0.4" + "9" * 299, "--q2", "1e-300")  # su
     (("H", *THIRDS_ARGS, "--N", "100000", "--x", "inf"), "x"),
     (("constants", *TINY_Q2_ARGS), "q2"),   # K ~ -1e600
     (("mN", *TINY_Q2_ARGS, "--N", "1000"), "q2"),
+    (("constants", "--p", "0.99999999999999999999", "--q1", "5e-21", "--q2", "5e-21"),
+     "p is too close"),  # float(p) == 1.0, so C = ln(1/p) = 0
 ])
 def test_out_of_range_inputs_are_refused_by_name(capsys, argv, names):
     code, _, err = run_cli(capsys, "analytic", *argv)

@@ -128,7 +128,10 @@ def test_package_exports_functions_and_classes_only():
     # experiment runner takes its own inputs
     moved = {"joint_survival_casewise", "enumerate_event", "longest_cdf_by_enumeration",
              "simulate_sequence", "is_window_valid", "swapped",
-             "h_function_terms", "accompanying_cdf_details", "exponent_l", "ExperimentConfig"}
+             "h_function_terms", "accompanying_cdf_details", "exponent_l", "ExperimentConfig",
+             "longest_run_distribution_by_enumeration"}
     assert not any(inspect.ismodule(getattr(contamruns, name)) for name in contamruns.__all__)
     assert moved.isdisjoint(contamruns.__all__)
+    assert not any(hasattr(getattr(contamruns, module), name)
+                   for module in contamruns._EXPORTS for name in moved)
     assert not hasattr(TrialDistribution, "swapped")

@@ -196,6 +196,8 @@ def test_empirical_longest_law_matches_dp():
 def test_empirical_distribution_invariants():
     with pytest.raises(ValidationError):
         EmpiricalDistribution(support=np.array([1, 1]), weights=np.array([1, 2]))
+    with pytest.raises(ValidationError, match="equal length"):
+        EmpiricalDistribution(support=np.array([1, 2]), weights=np.array([1]))
 
 
 def test_sup_distance_self_reference_is_zero():

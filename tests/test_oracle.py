@@ -17,11 +17,15 @@ from contamruns.oracle import (
     dp_longest_cdf,
     enumerate_conditional,
     joint_survival_by_enumeration,
-    longest_run_distribution_by_enumeration,
     window_probability_by_enumeration,
 )
 
-from crosscheck import enumerate_event, is_window_valid, longest_cdf_by_enumeration
+from crosscheck import (
+    enumerate_event,
+    is_window_valid,
+    longest_cdf_by_enumeration,
+    longest_run_distribution_by_enumeration,
+)
 
 THIRDS = TrialDistribution(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 SKEWED = TrialDistribution(Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
@@ -277,6 +281,10 @@ def test_lumped_chain_exact_values_equal_the_full_chain():
     assert dp_longest_cdf(THIRDS, 100, 10, mode="exact") == Fraction(
         157538194699726430057434651283137557079169642948,
         171792506910670443678820376588540424234035840667)
+    # the full chain (q1 != q2)
+    assert dp_longest_cdf(FIGURE_TRIPLES[1], 100, 10, mode="exact") == Fraction(
+        2606557577954152953609558909113058265809393607508091,
+        5902958103587056517120000000000000000000000000000000)
 
 
 def test_all_sequences_rows_are_base3_digits():

@@ -9,14 +9,16 @@ import pytest
 
 import contamruns
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# the directory holding the contamruns under test: src/ in a checkout,
+# site-packages for an installed package
+PACKAGE_DIR = Path(contamruns.__file__).resolve().parent.parent
 
 THIRDS = ["--p", "1/3", "--q1", "1/3", "--q2", "1/3"]
 
 # run in a fresh interpreter: this test process has imported numpy long since
 PROBE = f"""
 import sys
-sys.path.insert(0, {str(SRC)!r})
+sys.path.insert(0, {str(PACKAGE_DIR)!r})
 from contamruns import cli
 
 cli.build_parser()
