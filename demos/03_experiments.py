@@ -32,25 +32,27 @@ SEED = 20240817
 
 # --- longest run: mu(N) - [m(N)] vs the accompanying CDF -------------------
 N, s = 100_000, 400
-result = run_longest_experiment(thirds, N, s, SEED, workers=8)
-emp = result.empirical
+longest = run_longest_experiment(thirds, N, s, SEED, workers=8).empirical
 law = AccompanyingLaw(thirds, N)
-distance = sup_distance_lattice(emp, lambda k: law.at(k).cdf)
+distance = sup_distance_lattice(longest, lambda k: law.at(k).cdf)
 print(f"longest run, N={N}, s={s}:")
-print(f"  offsets observed: {emp.support.tolist()}")
+print(f"  offsets observed: {longest.support.tolist()}")
 print(f"  sup-distance to accompanying CDF: {distance:.4f}")
 
 # --- hitting time: tau_m * alpha * P(A1) vs Exp(1) --------------------------
-m, s = 10, 1000
-result = run_hitting_experiment(thirds, m, s, SEED, workers=8)
+m, s_hit = 10, 1000
+result = run_hitting_experiment(thirds, m, s_hit, SEED, workers=8)
 emp = result.empirical
 mean = float(np.average(emp.support, weights=emp.weights))
-print(f"\nhitting time, m={m}, s={s}:")
+print(f"\nhitting time, m={m}, s={s_hit}:")
 print(f"  scaled sample mean: {mean:.4f} (Exp(1) mean is 1)")
 print(f"  sup-distance to 1 - e^-x: {sup_distance(emp, theorem1_limit_cdf):.4f}")
 print(f"  repetitions excluded at the safety cap: {result.excluded}")
 
 # --- determinism -------------------------------------------------------------
-again = run_hitting_experiment(thirds, m, s, SEED, workers=1).empirical
-print(f"\nsame seed, different worker count, identical output: "
-      f"{np.array_equal(emp.support, again.support)}")
+# the longest run above drew chunks of 2^16 symbols on 8 threads; this one
+# runs on 1 (a hitting run at m=10 draws short chunks, on one thread at any count)
+again = run_longest_experiment(thirds, N, s, SEED, workers=1).empirical
+same = (np.array_equal(longest.support, again.support)
+        and np.array_equal(longest.weights, again.weights))
+print(f"\nsame seed, different worker count, identical output: {same}")

@@ -353,7 +353,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--seed", type=int, default=20240817, help="experiment master seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help=f"worker pool size, 1 to {MAX_THREADS}")
+                        help=f"most worker threads, 1 to {MAX_THREADS}")
     parser.add_argument("--out", default="out", help="output directory for experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -90,17 +90,21 @@ class ExperimentResult:
 
 
 def _map_reps(fn: Callable[[np.random.Generator], object], s: int, seed: int,
-              workers: int) -> list:
-    """[fn(repetition_rng(seed, i)) for i in range(s)], on up to `workers` threads."""
+              workers: int, chunk: int) -> list:
+    """[fn(repetition_rng(seed, i)) for i in range(s)], on up to `workers` threads.
+
+    `chunk` is the number of symbols each of fn's draws takes.  A second
+    thread pays only once a chunk has at least _CHUNK // 2 symbols (on a
+    2-vCPU VM, thirds hitting at m = 12, chunks of 12,922, took 0.62 s on
+    one thread and 0.93 s on two), so shorter chunks run on one thread.
+    """
     if s < 1 or seed < 0:
         raise ValidationError(f"need s >= 1 and seed >= 0, got s={s}, seed={seed}")
     # Freeing one block just under glibc's 32 MiB mmap cap lifts its mmap and
     # trim thresholds to ~31 and ~62 MiB: every chunk's temporaries then stay
     # on the heap, not mapped and page-faulted per repetition (other libcs: no-op).
     np.empty(31 << 20, np.uint8)
-    workers = min(workers, s)
-    if workers <= 1:
-        return [fn(repetition_rng(seed, i)) for i in range(s)]
+    workers = min(workers, s) if chunk >= _CHUNK // 2 else 1
     # one task per worker: worker w runs repetitions w, w + W, w + 2W, ...
     # into their slots, so results stay in repetition order
     results = [None] * s
@@ -125,7 +129,7 @@ def run_longest_experiment(dist: TrialDistribution, N: int, s: int, seed: int,
             scanner.push(chunk)
         return scanner.best - center
 
-    offsets = _map_reps(one, s, seed, workers)
+    offsets = _map_reps(one, s, seed, workers, min(_CHUNK, N))
     return ExperimentResult(empirical=EmpiricalDistribution.from_samples(offsets))
 
 
@@ -150,7 +154,7 @@ def run_hitting_experiment(dist: TrialDistribution, m: int, s: int, seed: int,
                 return hit * scale
         return math.nan  # capped; excluded from the empirical law
 
-    scaled = np.asarray(_map_reps(one, s, seed, workers))
+    scaled = np.asarray(_map_reps(one, s, seed, workers, chunk_size))
     capped = np.isnan(scaled)
     if capped.all():
         raise SizeError(f"none of the {s} repetitions hit within the cap of "

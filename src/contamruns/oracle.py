@@ -137,7 +137,8 @@ def enumerate_conditional(dist: TrialDistribution, m: int):
 BUILD_COST = 100           # per chain state
 STEP_COST = 2000           # per step, either mode
 EXACT_PRODUCT_COST = 15    # per big-integer product, besides its words
-CONVERGED = 2.0 ** -50     # float mode stops once the bracket's b/a - 1 is this small
+CONVERGED = 2.0 ** -50     # float mode stops once the bracket's b/a - 1 is this small,
+STALLED = 2.0 ** -44       # or is this small and no longer falls (rounding noise)
 
 
 def _dp_work(N: int, m: int, bits: int | None, symmetric: bool) -> int:
@@ -208,18 +209,23 @@ def _dp_float(succ: np.ndarray, weights: np.ndarray, N: int):
     before the final ldexp; the exponents add up in an int.  The
     Collatz-Wielandt ratios a = min g/f and b = max g/f, over the states
     with f > 0, bracket the chain's Perron root: T is nonnegative, so
-    T f >= a f gives T^j f >= a^j f, and likewise for b.  At the first
-    step K with a > 0 and b/a - 1 <= CONVERGED the loop stops: f_N(0)
-    lies in [lo, hi] = f_K(0) [a, b]^(N-K), each root clamped to at
-    most 1, and the value is f_K(0) sqrt(ab)^(N-K), relative width about
-    (N - K) 2^-50.  The bracket leaves out the float rounding of the K
-    steps taken.  Without convergence all N steps run and lo = value = hi.
+    T f >= a f gives T^j f >= a^j f, and likewise for b.  The loop stops
+    at the first step K with a > 0 where b/a - 1 <= CONVERGED, or where
+    b/a - 1 <= STALLED and did not fall from the step before: there the
+    bracket has reached rounding noise, which 2^-50 may meet only by
+    chance (0.8/0.1/0.1 at N = 3e6, m = 108: step 1759 instead of 193).
+    Then f_N(0) lies in [lo, hi] = f_K(0) [a, b]^(N-K), each root clamped
+    to at most 1, and the value is f_K(0) sqrt(ab)^(N-K), relative width
+    about (N - K) (b/a - 1).  The bracket leaves out the float rounding of
+    the K steps taken.  Without convergence all N steps run and
+    lo = value = hi.
     """
     f = np.ones(succ.shape[1] + 1)
     f[-1] = 0.0  # the absorbing state
     fs = f[:-1]  # a view of every other state
     ratio = np.empty(succ.shape[1])
     scale = 0
+    last = math.inf  # the previous step's b/a - 1
     # where f = 0, g = 0 too: the ratio 0/0 is nan, which fmin and fmax skip
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(1, N + 1):
@@ -229,8 +235,10 @@ def _dp_float(succ: np.ndarray, weights: np.ndarray, N: int):
             e = math.frexp(g[0])[1]
             scale += e
             np.ldexp(g, -e, out=fs)
-            if a > 0 and b / a - 1 <= CONVERGED:
+            gap = b / a - 1 if a > 0 else math.inf
+            if gap <= CONVERGED or last <= gap <= STALLED:
                 break
+            last = gap
         else:
             a = b = 1.0  # all N steps taken, nothing to extrapolate
     value, lo, hi = (_times_power(f[0], scale, x, N - k) for x in (math.sqrt(a * b), a, b))

@@ -4,6 +4,7 @@ import math
 import platform
 import resource
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from contamruns.analytic import m_of_n, theorem1_limit_cdf
 from contamruns.model import TrialDistribution, ValidationError
 from contamruns.montecarlo import (
+    _CHUNK,
     EmpiricalDistribution,
     _map_reps,
     repetition_rng,
@@ -89,11 +91,13 @@ def test_seeded_laws_are_pinned(run):
 
 
 def test_worker_count_is_invisible():
-    results = [run_longest_experiment(THIRDS, 500, 64, 11, workers=w).empirical
-               for w in (1, 4, 8)]
-    for other in results[1:]:
-        assert np.array_equal(results[0].support, other.support)
-        assert np.array_equal(results[0].weights, other.weights)
+    # N = 500 runs on one thread at any worker count, N = 2^15 on a pool
+    for N in (500, 1 << 15):
+        results = [run_longest_experiment(THIRDS, N, 64, 11, workers=w).empirical
+                   for w in (1, 4, 8)]
+        for other in results[1:]:
+            assert np.array_equal(results[0].support, other.support)
+            assert np.array_equal(results[0].weights, other.weights)
 
 
 @pytest.mark.parametrize("s, workers", [(1, 2), (5, 8), (7, 2)])
@@ -111,7 +115,7 @@ def test_map_reps_keeps_repetition_order(s, workers):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert _map_reps(fn, s, seed, workers) == expected
+        assert _map_reps(fn, s, seed, workers, _CHUNK) == expected
     finally:
         sys.setswitchinterval(interval)
 
@@ -126,16 +130,31 @@ def test_map_reps_propagates_an_exception():
             raise ArithmeticError("repetition 3")
         return draw
     with pytest.raises(ArithmeticError, match="repetition 3"):
-        _map_reps(fn, 7, seed, 2)
+        _map_reps(fn, 7, seed, 2, _CHUNK)
+
+
+def test_map_reps_threads_only_for_long_chunks():
+    # a second thread starts only once the run's chunks have _CHUNK // 2 symbols
+    for chunk, threads in ((_CHUNK // 2 - 1, 1), (_CHUNK // 2, 2), (_CHUNK, 2)):
+        idents = set()
+
+        def fn(rng):
+            idents.add(threading.get_ident())
+            time.sleep(0.005)  # keep the first worker busy while the second starts
+        _map_reps(fn, 4, 0, 2, chunk)
+        assert len(idents) == threads, chunk
 
 
 def test_hitting_worker_count_is_invisible():
-    results = [run_hitting_experiment(THIRDS, 8, 200, 5, workers=w).empirical
-               for w in (1, 2, 3)]
-    for other in results[1:]:
-        assert np.array_equal(results[0].support, other.support)
-        assert np.array_equal(results[0].weights, other.weights)
-        assert results[0].total == other.total == 200
+    # m = 8 runs on one thread at any worker count; m = 14 draws full
+    # chunks of 2^16 symbols, so its runs at 2 and 3 workers use a pool
+    for m in (8, 14):
+        results = [run_hitting_experiment(THIRDS, m, 200, 5, workers=w).empirical
+                   for w in (1, 2, 3)]
+        for other in results[1:]:
+            assert np.array_equal(results[0].support, other.support)
+            assert np.array_equal(results[0].weights, other.weights)
+            assert results[0].total == other.total == 200
 
 
 def test_config_validation():
