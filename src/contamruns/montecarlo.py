@@ -6,9 +6,19 @@ outcomes come from one uniform per symbol with fixed thresholds
 (p, p+q1) mapping to (success, type-I failure, type-II failure).
 Results are collected by repetition index, so they are bit-identical
 for any worker count.
+
+The contract is the one ``RNG_SCHEME_ID`` names; two shortcuts keep it.
+The scanner reads the uniforms against p and p + q1 itself (see
+``scan``), making the comparisons that map a uniform to its outcome.
+And the generators are not seeded through ``SeedSequence`` one by one:
+``_seed_words`` runs SeedSequence's published hash-mix and
+``generate_state`` steps once for a block of 4096 repetitions, on uint32
+arrays, and ``repetition_rng`` hands PCG64 its row of that table.  The
+generator is the same, state for state.
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,30 +33,106 @@ from .scan import ChunkScanner
 RNG_SCHEME_ID = "pcg64-seedseq-spawnkey-invcdf-v1"
 HITTING_SAFETY_CAP = 10 ** 9
 _CHUNK = 1 << 16  # symbols per draw; longer draws are no faster and raise peak RSS
+_BLOCK_BITS = 12  # 4096 repetitions per seed-table block; 4096 divides 2^32
+_M32 = 0xFFFFFFFF
 
 
 def repetition_rng(seed: int, rep: int) -> np.random.Generator:
-    """The documented per-repetition generator derivation."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
-    )
+    """The documented per-repetition generator derivation: the generator
+    ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(rep,))))``."""
+    words = _seed_words(seed, rep >> _BLOCK_BITS)[rep & ((1 << _BLOCK_BITS) - 1)]
+    return np.random.Generator(np.random.PCG64(_seed_source()(words)))
 
 
-def _draw_chunk(rng: np.random.Generator, dist_floats, n: int) -> np.ndarray:
-    p, q1, _ = dist_floats
-    u = rng.random(n)
-    return ((u >= p).view(np.uint8) + (u >= p + q1).view(np.uint8))
+@functools.cache
+def _seed_source() -> type:
+    """A seed sequence that hands PCG64 its four precomputed uint64 words.
+
+    Built on first use, so that importing this module leaves numpy.random
+    unloaded (the CLI's queries never draw).
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for 4 uint64
+            return self.words
+
+    return SeedWords
 
 
-def outcome_chunks(dist: TrialDistribution, rng: np.random.Generator,
-                   total: int, chunk_size: int = _CHUNK) -> Iterator[np.ndarray]:
-    """Pull-based source of `total` i.i.d. outcomes in uint8 chunks."""
-    floats = dist.as_floats()
-    remaining = total
-    while remaining > 0:
-        n = min(chunk_size, remaining)
-        yield _draw_chunk(rng, floats, n)
-        remaining -= n
+def _words32(n: int) -> list[int]:
+    """n's 32-bit words, least significant first, as SeedSequence splits an
+    entropy integer (0 is one word)."""
+    if n < 0:
+        raise ValidationError(f"seeds and repetition indices are >= 0, got {n}")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+@functools.lru_cache(maxsize=2)
+def _seed_words(seed: int, block: int) -> np.ndarray:
+    """PCG64's seed words for repetitions block * 4096 + j: row j of a
+    read-only (4096, 4) uint64 table.
+
+    SeedSequence(entropy=seed, spawn_key=(rep,)) hashes its entropy words
+    (seed's, padded with zeros to the pool size 4, then rep's) into a pool
+    of four uint32 words and expands the pool into the eight uint32 words
+    that make PCG64's four uint64 ones.  These are numpy's steps, with each
+    word either a Python int (kept to 32 bits) or a uint32 array over the
+    block (which wraps by itself).  Since 4096 divides 2^32, the
+    repetitions of a block share every word of rep but the lowest, so only
+    that word is an array.
+    """
+    spawn = _words32(block << _BLOCK_BITS)
+    spawn[0] = np.arange(spawn[0], spawn[0] + (1 << _BLOCK_BITS), dtype=np.uint32)
+    run = _words32(seed)
+    entropy = run + [0] * (4 - len(run)) + spawn
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = ((0xCA01F9DD * x & _M32) - (0x4973F715 * y & _M32)) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((1 << _BLOCK_BITS, 8), "<u4")
+    hash_const = 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        state[:, i] = value ^ value >> 16
+    table = state.view("<u8").astype(np.uint64)
+    table.flags.writeable = False
+    return table
+
+
+def outcome_chunks(rng: np.random.Generator, total: int,
+                   chunk_size: int = _CHUNK) -> Iterator[np.ndarray]:
+    """Pull-based source of `total` uniforms on [0, 1), one per symbol,
+    drawn `chunk_size` at a time."""
+    while total > 0:
+        n = min(chunk_size, total)
+        yield rng.random(n)
+        total -= n
 
 
 @dataclass(frozen=True)
@@ -90,13 +176,15 @@ class ExperimentResult:
 
 
 def _map_reps(fn: Callable[[np.random.Generator], object], s: int, seed: int,
-              workers: int, chunk: int) -> list:
+              workers: int, work: int) -> list:
     """[fn(repetition_rng(seed, i)) for i in range(s)], on up to `workers` threads.
 
-    `chunk` is the number of symbols each of fn's draws takes.  A second
-    thread pays only once a chunk has at least _CHUNK // 2 symbols (on a
-    2-vCPU VM, thirds hitting at m = 12, chunks of 12,922, took 0.62 s on
-    one thread and 0.93 s on two), so shorter chunks run on one thread.
+    `work` sizes a repetition's numpy calls: the symbols of one draw of a
+    longest run, or twice the expected hitting time of a hitting run, at
+    most _CHUNK either way.  A second thread pays only once it is at least
+    _CHUNK // 2 (on a 2-vCPU VM, thirds hitting at m = 12, work 12,922,
+    s = 4000, took 0.55 s on one thread and 0.83 s on two), so less runs
+    on one thread.
     """
     if s < 1 or seed < 0:
         raise ValidationError(f"need s >= 1 and seed >= 0, got s={s}, seed={seed}")
@@ -104,7 +192,7 @@ def _map_reps(fn: Callable[[np.random.Generator], object], s: int, seed: int,
     # trim thresholds to ~31 and ~62 MiB: every chunk's temporaries then stay
     # on the heap, not mapped and page-faulted per repetition (other libcs: no-op).
     np.empty(31 << 20, np.uint8)
-    workers = min(workers, s) if chunk >= _CHUNK // 2 else 1
+    workers = min(workers, s) if work >= _CHUNK // 2 else 1
     # one task per worker: worker w runs repetitions w, w + W, w + 2W, ...
     # into their slots, so results stay in repetition order
     results = [None] * s
@@ -122,11 +210,12 @@ def run_longest_experiment(dist: TrialDistribution, N: int, s: int, seed: int,
                            workers: int = 1) -> ExperimentResult:
     """Empirical law of mu(N) - [m(N)] over s fused simulate+scan runs."""
     center = m_of_n(dist, N).integer_part
+    p, q1, _ = dist.as_floats()
 
     def one(rng: np.random.Generator) -> int:
-        scanner = ChunkScanner()
-        for chunk in outcome_chunks(dist, rng, N):
-            scanner.push(chunk)
+        scanner = ChunkScanner(p, p + q1)
+        for block in outcome_chunks(rng, N):
+            scanner.push(block)
         return scanner.best - center
 
     offsets = _map_reps(one, s, seed, workers, min(_CHUNK, N))
@@ -143,18 +232,22 @@ def run_hitting_experiment(dist: TrialDistribution, m: int, s: int, seed: int,
     if scale == 0.0 or 1.0 / scale > HITTING_SAFETY_CAP:
         raise SizeError(f"the expected hitting time 1/(alpha * P(A1)) at m = {m} is past the "
                         f"cap of {HITTING_SAFETY_CAP} symbols per repetition")
-    # expected tau is 1/scale; chunk a few multiples at a time
-    chunk_size = int(min(_CHUNK, max(4 * m, 2.0 / scale)))
+    # draw one expected hitting time 1/scale at a time: tau is about
+    # exponential, so a repetition draws about 1/((1 - 1/e) scale) = 1.58/scale
+    # symbols, where draws of 2/scale would take 2.31/scale
+    chunk_size = int(min(_CHUNK, max(4 * m, 1.0 / scale)))
+    p, q1, _ = dist.as_floats()
 
     def one(rng: np.random.Generator) -> float:
-        scanner = ChunkScanner()
-        for chunk in outcome_chunks(dist, rng, HITTING_SAFETY_CAP, chunk_size):
-            hit = scanner.push_until_hit(chunk, m)
+        scanner = ChunkScanner(p, p + q1)
+        for block in outcome_chunks(rng, HITTING_SAFETY_CAP, chunk_size):
+            hit = scanner.push_until_hit(block, m)
             if hit is not None:
                 return hit * scale
         return math.nan  # capped; excluded from the empirical law
 
-    scaled = np.asarray(_map_reps(one, s, seed, workers, chunk_size))
+    work = min(_CHUNK, max(4 * m, 2.0 / scale))
+    scaled = np.asarray(_map_reps(one, s, seed, workers, work))
     capped = np.isnan(scaled)
     if capped.all():
         raise SizeError(f"none of the {s} repetitions hit within the cap of "

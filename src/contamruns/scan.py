@@ -1,14 +1,15 @@
 """Single-pass scans: longest valid run and first hitting time.
 
 Let f_1 < f_2 < ... be the failure positions and t_j their types, with
-sentinels f_{-2} = f_{-1} = f_0 = 0 of type 0 (no failure type) and one
-position past the end.  The longest valid run whose last failure is f_j
-ends at f_{j+1} - 1 and starts after f_{j-1} if t_{j-1} = t_j, else after
-f_{j-2}; for j = 0 it is the failure-free stretch before f_1.  mu(N) is
-the largest of these lengths; tau_m, the end index of the first valid
-m-window, lies in the first such run of length >= m, at start_j + m.
-(Runs start no earlier as j grows, so if start_j + m < f_j the run before
-would already reach m.)
+sentinels f_{-2} = f_{-1} = f_0 = 0 and one position past the end.  The
+longest valid run whose last failure is f_j ends at f_{j+1} - 1 and starts
+after f_{j-1} if t_{j-1} = t_j, else after f_{j-2}; for j = 0 it is the
+failure-free stretch before f_1.  When f_{j-1} is a sentinel so is f_{j-2},
+and both candidate starts are 0: a sentinel's type never decides a start,
+so sentinels have none.  mu(N) is the largest of these lengths; tau_m, the
+end index of the first valid m-window, lies in the first such run of
+length >= m, at start_j + m.  (Runs start no earlier as j grows, so if
+start_j + m < f_j the run before would already reach m.)
 
 A valid m-window holds at most two failures, so it lies strictly between
 f_{j-2} and f_{j+1} for some j: only the j with f_{j+1} - f_{j-2} > m can
@@ -16,11 +17,17 @@ hold a hit.  The hitting scan tests that on every failure triple and
 reads types only at the few candidates, in order, stopping at the first
 hit.
 
-The chunk scanner finds a uint8 chunk's failures in one pass; its other
-arrays are as long as the failure count.  Across chunks it carries the
-position and the last three failures with their types, so the run still
-open at the end of a chunk is the first run the next chunk scans, and
-long pull-based sources are never materialized.
+The chunk scanner reads values against two thresholds: a symbol is a
+failure when its value is at least `fail_at`, and of the second type when
+it is at least `second_at`.  The defaults 1 and 2 read outcome codes 0, 1
+and 2 (`longest_run`, `first_hitting`).  The experiments pass (p, p + q1)
+and push the uniforms they draw, so the scan makes the same comparisons
+that map a uniform to its outcome, and no code array is built.  Per block
+it finds the failures in one pass over a bool mask; its other arrays are
+as long as the failure count.  Across blocks it carries the position and
+the last three failures with their types, so the run still open at the
+end of a block is the first run the next block scans, and long pull-based
+sources are never materialized.
 """
 from __future__ import annotations
 
@@ -30,29 +37,33 @@ from .model import ValidationError, check_window_length
 
 
 class ChunkScanner:
-    """Carries the scan across numpy uint8 chunks; O(1) state, O(c) work.
+    """Carries the scan across numpy blocks; O(1) state, O(c) work.
 
-    A scanner serves one mode: `push` keeps `best`, `push_until_hit` does not.
+    A symbol is a failure when its value is at least `fail_at`, and of the
+    second type when it is at least `second_at`: outcome codes 0, 1 and 2
+    with the defaults, uniforms with (p, p + q1).  A scanner serves one
+    mode: `push` keeps `best`, `push_until_hit` does not.
     """
 
-    def __init__(self):
+    def __init__(self, fail_at=1, second_at=2):
+        self.fail_at, self.second_at = fail_at, second_at
         self.position = self.best = 0
-        self.failures, self.types = np.zeros(3, np.int64), np.zeros(3, np.uint8)
+        self.failures, self.types = np.zeros(3, np.int64), np.zeros(3, bool)
 
-    def _advance(self, chunk: np.ndarray):
+    def _advance(self, block: np.ndarray):
         """Advance; return F (3 carried failures, the new ones, the end) and
-        the new failures' offsets in the chunk."""
-        ev = np.flatnonzero(chunk != 0)
+        the new failures' offsets in the block."""
+        ev = (block >= self.fail_at).nonzero()[0]
         F = np.empty(ev.size + 4, dtype=np.int64)
         F[:3] = self.failures
         np.add(ev, self.position + 1, out=F[3:-1])
-        self.position += len(chunk)
+        self.position += len(block)
         F[-1] = self.position + 1
         return F, ev
 
-    def push(self, chunk: np.ndarray) -> None:
-        F, ev = self._advance(chunk)
-        T = np.concatenate((self.types, chunk[ev]))
+    def push(self, block: np.ndarray) -> None:
+        F, ev = self._advance(block)
+        T = np.concatenate((self.types, (block >= self.second_at)[ev]))
         g = np.diff(F)
         span = g[2:] + g[1:-1]  # per run, its last failure F[j]: F[j+1] - run start = run + 1
         g[:-2] *= T[2:] != T[1:-1]
@@ -60,21 +71,22 @@ class ChunkScanner:
         self.best = max(self.best, int(span.max()) - 1)
         self.failures, self.types = F[-4:-1].copy(), T[-3:].copy()
 
-    def push_until_hit(self, chunk: np.ndarray, m: int) -> int | None:
+    def push_until_hit(self, block: np.ndarray, m: int) -> int | None:
         """Advance; return the first absolute position with a run >= m, if any."""
-        F, ev = self._advance(chunk)
-        carried = self.types.tolist()
+        F, ev = self._advance(block)
+        carried, second_at = self.types.tolist(), self.second_at
 
-        def type_of(k: int):  # the type of failure F[k]
-            return carried[k] if k < 3 else chunk[ev[k - 3]]
+        def second(k: int):  # whether failure F[k] is of the second type
+            return carried[k] if k < 3 else block[ev[k - 3]] >= second_at
 
-        for i in np.flatnonzero(F[3:] - F[:-3] > m).tolist():
+        for i in (F[3:] - F[:-3] > m).nonzero()[0].tolist():
             # the run whose last failure is F[i + 2]; it ends at F[i + 3] - 1
-            start = F[i + 1] if type_of(i + 1) == type_of(i + 2) else F[i]
-            if F[i + 3] - start > m:
-                return int(start + m)
+            f0, f1, _, f3 = F[i:i + 4].tolist()
+            start = f1 if second(i + 1) == second(i + 2) else f0
+            if f3 - start > m:
+                return start + m
         self.failures = F[-4:-1].copy()
-        self.types = np.concatenate((self.types, chunk[ev[-3:]]))[-3:]
+        self.types = np.concatenate((self.types, block[ev[-3:]] >= second_at))[-3:]
         return None
 
 

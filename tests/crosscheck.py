@@ -102,6 +102,8 @@ def longest_cdf_by_enumeration(dist: TrialDistribution, N: int, m: int):
 
 
 def simulate_sequence(dist: TrialDistribution, N: int, stream_seed: int) -> np.ndarray:
-    """Materialized sequence of N outcomes for the given stream seed."""
-    rng = repetition_rng(stream_seed, 0)
-    return np.concatenate(list(outcome_chunks(dist, rng, N)))
+    """Materialized sequence of N outcomes (0 success, 1 and 2 failures) for
+    the given stream seed: each uniform u maps to (u >= p) + (u >= p + q1)."""
+    p, q1, _ = dist.as_floats()
+    u = np.concatenate(list(outcome_chunks(repetition_rng(stream_seed, 0), N)))
+    return (u >= p).view(np.uint8) + (u >= p + q1)

@@ -192,10 +192,11 @@ def test_criterion_8_near_one_preset_completes():
 def test_criterion_9_scan_throughput():
     n = 10 ** 7
     rng = repetition_rng(SEED, 0)
+    p, q1, _ = THIRDS.as_floats()
     t0 = time.perf_counter()
-    scanner = ChunkScanner()
-    for chunk in outcome_chunks(THIRDS, rng, n):
-        scanner.push(chunk)
+    scanner = ChunkScanner(p, p + q1)
+    for block in outcome_chunks(rng, n):
+        scanner.push(block)
     wall = time.perf_counter() - t0
     ok = wall < 1.0 and scanner.position == n
     report(9, ok, f"fused simulate+scan of 1e7 outcomes in {wall:.3f} s "

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contamruns import montecarlo
 from contamruns.analytic import m_of_n, theorem1_limit_cdf
 from contamruns.model import TrialDistribution, ValidationError
 from contamruns.montecarlo import (
@@ -50,6 +51,24 @@ def test_simulated_frequencies_match_probabilities():
     for sym, prob in enumerate(d.as_floats()):
         sigma = math.sqrt(prob * (1 - prob) / n)
         assert abs((seq == sym).mean() - prob) < 4 * sigma
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20240817, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 10 ** 30])
+def test_repetition_rng_is_the_seed_sequence_generator(seed):
+    # the seed table reproduces SeedSequence at the edges of its 4096-rep
+    # blocks and of a spawn key's first 32-bit word
+    for rep in (0, 1, 4095, 4096, 8191, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 4097):
+        ours = repetition_rng(seed, rep)
+        theirs = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(rep,))))
+        assert ours.bit_generator.state == theirs.bit_generator.state, rep
+        assert np.array_equal(ours.random(1000), theirs.random(1000)), rep
+
+
+def test_repetition_rng_refuses_negative_seeds_and_indices():
+    for seed, rep in ((-1, 0), (0, -1), (-(2 ** 40), 3)):
+        with pytest.raises(ValueError):
+            repetition_rng(seed, rep)
 
 
 def test_repetition_streams_are_distinct():
@@ -145,9 +164,24 @@ def test_map_reps_threads_only_for_long_chunks():
         assert len(idents) == threads, chunk
 
 
+@pytest.mark.parametrize("dist, m, threads", [(THIRDS, 12, 1), (THIRDS, 14, 2),
+                                              (TrialDistribution(0.5, 0.4, 0.1), 20, 2)])
+def test_hitting_runs_keep_their_thread_count(monkeypatch, dist, m, threads):
+    # the thread rule weighs two expected hitting times, not the shorter draw
+    idents = set()
+
+    def recorded(seed, rep):
+        idents.add(threading.get_ident())
+        time.sleep(0.005)  # keep the first worker busy while the second starts
+        return repetition_rng(seed, rep)
+    monkeypatch.setattr(montecarlo, "repetition_rng", recorded)
+    run_hitting_experiment(dist, m, 4, 0, workers=2)
+    assert len(idents) == threads
+
+
 def test_hitting_worker_count_is_invisible():
-    # m = 8 runs on one thread at any worker count; m = 14 draws full
-    # chunks of 2^16 symbols, so its runs at 2 and 3 workers use a pool
+    # m = 8 runs on one thread at any worker count; m = 14 draws chunks of
+    # 41,621 symbols, so its runs at 2 and 3 workers use a pool
     for m in (8, 14):
         results = [run_hitting_experiment(THIRDS, m, 200, 5, workers=w).empirical
                    for w in (1, 2, 3)]

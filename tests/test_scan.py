@@ -119,9 +119,9 @@ def test_longest_run_monotone_under_extension(seq, extra):
     assert longest_run(seq + [extra]) >= longest_run(seq)
 
 
-def scan_pieces(pieces, m=None):
-    """Drive one ChunkScanner over the pieces: its best, or its first hit."""
-    scanner = ChunkScanner()
+def scan_pieces(pieces, m=None, thresholds=()):
+    """Drive one ChunkScanner(*thresholds) over the pieces: its best, or its first hit."""
+    scanner = ChunkScanner(*thresholds)
     for piece in pieces:
         if m is None:
             scanner.push(piece)
@@ -141,6 +141,32 @@ def test_chunk_split_is_invisible(seq, cuts):
     assert scan_pieces(pieces) == longest_run(seq)
     for m in (1, 2, 3, 5):
         assert scan_pieces(pieces, m) == first_hitting(seq, m)
+
+
+@st.composite
+def uniforms_and_thresholds(draw):
+    """Uniforms, some on the thresholds, with a triple's (p, p + q1) and cut points."""
+    p = draw(st.floats(0, 1))
+    q1 = draw(st.floats(0, 1 - p))
+    values = st.one_of(st.floats(0, 1, exclude_max=True), st.sampled_from([p, p + q1]))
+    u = np.array(draw(st.lists(values, min_size=1, max_size=40)))
+    cuts = draw(st.lists(st.integers(0, len(u)), max_size=5))
+    return u, (p, p + q1), np.split(np.arange(len(u)), sorted(cuts))
+
+
+@settings(max_examples=200)
+@given(uniforms_and_thresholds())
+def test_threshold_scan_equals_code_scan(case):
+    # a scanner on uniforms with thresholds (p, p + q1) sees the outcomes
+    # (u >= p) + (u >= p + q1), whatever the cuts
+    u, thresholds, index_pieces = case
+    codes = (u >= thresholds[0]).view(np.uint8) + (u >= thresholds[1])
+    uniform_pieces = [u[i] for i in index_pieces]
+    code_pieces = [codes[i] for i in index_pieces]
+    assert scan_pieces(uniform_pieces, thresholds=thresholds) == scan_pieces(code_pieces)
+    for m in (1, 2, 3, 5, 8):
+        assert (scan_pieces(uniform_pieces, m, thresholds)
+                == scan_pieces(code_pieces, m) == first_hitting(codes, m))
 
 
 def test_chunked_scan_constant_state_across_many_chunks():

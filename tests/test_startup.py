@@ -47,6 +47,16 @@ def test_analytic_commands_never_import_numpy(tmp_path):
         assert len(lines) == 3 and '"pA1": 0.48148148148148145' in lines[0]
 
 
+def test_montecarlo_import_leaves_numpy_random_unloaded():
+    # the generators' seed source loads numpy.random on the first draw
+    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE_DIR)!r}); "
+             "import contamruns.montecarlo; "
+             "assert 'numpy.random' not in sys.modules, sorted(sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_every_export_is_its_submodules_object():
     for module, names in contamruns._EXPORTS.items():
         source = getattr(contamruns, module)
