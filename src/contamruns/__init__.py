@@ -5,10 +5,11 @@ __version__ = "0.1.0"
 
 import importlib as _importlib
 
-# submodule -> the public functions and classes it defines.  Each name is
-# imported on its first access (PEP 562), so that the closed forms
-# (analytic, model) load without numpy; only montecarlo, oracle and scan
-# import it.  A submodule is reached as contamruns.<module>.
+# submodule -> the public names it defines.  Each name resolves on every
+# access (PEP 562) through its submodule, imported on first use, and is
+# never cached here, so it reads the submodule's current binding.  The
+# closed forms (analytic, model) load without numpy; only montecarlo,
+# oracle and scan import it.  A submodule is reached as contamruns.<module>.
 _EXPORTS = {
     "analytic": (
         "AccompanyingLaw", "AlphaBreakdown", "ExpansionTerms", "accompanying_cdf",
@@ -20,7 +21,7 @@ _EXPORTS = {
         "derive_constants",
     ),
     "montecarlo": (
-        "EmpiricalDistribution", "ExperimentResult", "run_hitting_experiment",
+        "EmpiricalDistribution", "ExperimentResult", "RNG_SCHEME_ID", "run_hitting_experiment",
         "run_longest_experiment", "sup_distance", "sup_distance_lattice", "sup_distance_step",
     ),
     "oracle": (
@@ -35,13 +36,12 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    if name in _EXPORTS:  # importing a submodule binds it here
-        return _importlib.import_module(f"{__name__}.{name}")
-    if name not in _MODULE_OF:
+    module = _MODULE_OF.get(name, name)
+    if module not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    globals()[name] = value  # later lookups skip this function
-    return value
+    # importing a submodule binds it here, so later lookups find it in globals
+    source = globals().get(module) or _importlib.import_module(f"{__name__}.{module}")
+    return source if module == name else getattr(source, name)
 
 
 def __dir__():

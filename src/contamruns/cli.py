@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import importlib
 import json
 import math
 import os
@@ -20,7 +19,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from . import analytic as an
 from .files import (
     FileFormatError,
     read_empirical_csv,
@@ -31,23 +29,10 @@ from .files import (
 from .model import DEFAULT_BUDGET, SizeError, TrialDistribution, ValidationError, finite_float
 
 
-class _Deferred:
-    """A submodule imported at its first attribute access: montecarlo and
-    oracle import numpy, which the analytic commands never use."""
-
-    def __init__(self, name: str):
-        self._name = name
-
-    @functools.cached_property
-    def _module(self):
-        return importlib.import_module(self._name)
-
-    def __getattr__(self, attr):
-        return getattr(self._module, attr)
-
-
-mc = _Deferred(f"{__package__}.montecarlo")
-orc = _Deferred(f"{__package__}.oracle")
+# Every library call goes through the package's names, which import their
+# submodule on first use: the analytic commands never load numpy.  One
+# object under three names, so that a tracer can swap in each layer.
+an = mc = orc = sys.modules[__package__]
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -130,6 +115,11 @@ def _exact_str(v) -> str | None:
 
 # --- analytic ----------------------------------------------------------
 
+def _term_table(header: str, terms: dict) -> str:
+    """The header, then one line per expansion term: its signed value and name."""
+    return "\n".join([header, *(f"  {v:+.9g}  {k}" for k, v in terms.items())])
+
+
 def cmd_analytic(args) -> int:
     q = args.quantity
     if q == "constants":
@@ -157,17 +147,13 @@ def cmd_analytic(args) -> int:
         r = an.AccompanyingLaw(_dist(args), args.N).m
         payload = {"total": r.total, "integer_part": r.integer_part,
                    "fractional_part": r.fractional_part, "terms": r.terms}
-        lines = [f"m(N) = {r.total!r}  [m(N)] = {r.integer_part}  "
-                 f"{{m(N)}} = {r.fractional_part!r}"]
-        lines += [f"  {v:+.9g}  {k}" for k, v in r.terms.items()]
-        _emit(args, payload, "\n".join(lines))
+        _emit(args, payload, _term_table(f"m(N) = {r.total!r}  [m(N)] = {r.integer_part}  "
+                                         f"{{m(N)}} = {r.fractional_part!r}", r.terms))
     elif q == "H":
         _require(args, "N", "x")
         r = an.AccompanyingLaw(_dist(args), args.N).h(args.x)
         payload = {"total": r.total, "terms": r.terms}
-        lines = [f"H({args.x}) = {r.total!r}"]
-        lines += [f"  {v:+.9g}  {k}" for k, v in r.terms.items()]
-        _emit(args, payload, "\n".join(lines))
+        _emit(args, payload, _term_table(f"H({args.x}) = {r.total!r}", r.terms))
     elif q == "accompanying":
         _require(args, "N", "k")
         d = an.AccompanyingLaw(_dist(args), args.N).at(args.k)
@@ -415,6 +401,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except SizeError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("refused: not enough memory for this run", file=sys.stderr)
         return EXIT_BUDGET
     except FileFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

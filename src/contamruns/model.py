@@ -1,8 +1,9 @@
 """Core domain types: outcomes, trial distributions, derived constants.
 
 Outcomes are encoded as small integers (0 = success, 1 = failure of
-type I, 2 = failure of type II) so that sequences can be stored one
-byte per trial in numpy uint8 arrays.
+type I, 2 = failure of type II): the codes that `scan.longest_run` and
+`scan.first_hitting` read and that the oracle's enumeration writes.  The
+experiments draw no codes; they scan the uniforms they draw.
 """
 from __future__ import annotations
 

@@ -670,6 +670,19 @@ def test_negative_seed_or_no_repetitions_is_refused_by_name(capsys, tmp_path, mo
     assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
 
 
+@pytest.mark.parametrize("mode_args", [
+    ("--N", "10"),
+    ("--mode", "hitting", "--m", "3"),
+])
+def test_repetitions_past_memory_are_refused(capsys, tmp_path, mode_args):
+    # one result slot per repetition: 10^14 slots take 800 TB, past any
+    # machine's memory and past the 128 TiB a process can address
+    code, _, err = run_cli(capsys, "--out", str(tmp_path / "out"), "experiment",
+                           *THIRDS_ARGS, *mode_args, "--s", str(10 ** 14))
+    assert code == EXIT_BUDGET and err.startswith("refused: ") and "Traceback" not in err
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+
 def test_empty_metadata_counts_as_missing(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--json", "--out", str(tmp_path), "experiment",
                            "--mode", "hitting", *THIRDS_ARGS, "--s", "5", "--m", "5")

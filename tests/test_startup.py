@@ -1,8 +1,11 @@
-"""Start-up: the package resolves its names on first access, and only the
-commands that compute with numpy import it."""
+"""Start-up: the package resolves its names on every access, the parser
+loads no library module, and only the commands that compute with numpy
+import it."""
 import inspect
+import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,10 +24,14 @@ import sys
 sys.path.insert(0, {str(PACKAGE_DIR)!r})
 from contamruns import cli
 
+NUMPY_LAYERS = {{"contamruns.montecarlo", "contamruns.oracle"}}
+
 cli.build_parser()
+assert not {{"contamruns.analytic", *NUMPY_LAYERS}} & set(sys.modules), "build_parser"
 assert "numpy" not in sys.modules, "build_parser"
 assert cli.main(["--json", "analytic", "pA1", *{THIRDS!r}, "--m", "3"]) == 0
 assert cli.main(["--json", "analytic", "bounds", *{THIRDS!r}, "--m", "10", "--N", "10000"]) == 0
+assert not NUMPY_LAYERS & set(sys.modules), "analytic"
 assert "numpy" not in sys.modules, "analytic"
 assert cli.main(["--json", sys.argv[1], *sys.argv[2:]]) == 0
 assert "numpy" in sys.modules, sys.argv[1]
@@ -55,6 +62,31 @@ def test_montecarlo_import_leaves_numpy_random_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_submodule_is_reached_without_importing_it_first():
+    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE_DIR)!r}); "
+             "import contamruns; assert 'contamruns.oracle' not in sys.modules; "
+             "module = contamruns.oracle; "
+             "assert module is sys.modules['contamruns.oracle'], module; "
+             "assert module.dp_longest_cdf is contamruns.dp_longest_cdf")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_names_read_their_submodule_on_every_access(monkeypatch, capsys):
+    from contamruns import cli
+    contamruns.dp_longest_cdf  # noqa: B018  a first read caches nothing
+
+    def patched(*args, **kwargs):
+        return Fraction(1, 7)
+
+    monkeypatch.setattr(contamruns.oracle, "dp_longest_cdf", patched)
+    assert contamruns.dp_longest_cdf is patched
+    assert "dp_longest_cdf" not in vars(contamruns)
+    assert cli.main(["--json", "oracle", "longest-cdf", *THIRDS, "--N", "5", "--m", "3"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"exact": "1/7", "value": 1 / 7}
 
 
 def test_every_export_is_its_submodules_object():
