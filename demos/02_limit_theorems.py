@@ -43,8 +43,9 @@ for k in range(-3, 4):
     l = float(alpha_correction(thirds, m).alpha * N * window_probability(thirds, m))
     print(f"{k:+d}  {cdf:22.9f}   {l:.6f}  (exp(-l) = {math.exp(-l):.9f})")
 
-# at reachable N the exact capped-gap dynamic program gives the same law
-# with no asymptotics at all
+# at reachable N the exact dynamic program on the minimal (L, a, b) chain
+# (suffix length and the gaps to its two failures) gives the same law with
+# no asymptotics at all
 N_small = 100_000
 law_small = AccompanyingLaw(thirds, N_small)
 center = law_small.m.integer_part

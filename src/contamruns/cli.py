@@ -212,25 +212,6 @@ def cmd_oracle(args) -> int:
 
 # --- experiment --------------------------------------------------------
 
-def _experiment_size(args) -> tuple[int | None, int | None, int, float]:
-    """(N, m, s, scale) after the figure preset and --scale: the mode reads
-    N (longest) or m (hitting), and the other is None."""
-    if args.figure is not None:
-        _fill_unset(args, zip(("p", "q1", "q2", "N", "s", "m"), FIGURE_PRESETS[args.figure]))
-    _require(args, "s", "N" if args.mode == "longest" else "m")
-    # hitting runs are unbounded; the longest run has no window
-    N, m = (args.N, None) if args.mode == "longest" else (None, args.m)
-    s = args.s
-    scale = args.scale
-    if scale is not None:
-        if not (0 < scale <= 1):
-            raise ValidationError(f"--scale must lie in (0, 1], got {scale}")
-        # exact products: an int N past the double range does not overflow
-        N = None if N is None else max(1, round(N * Fraction(scale)))
-        s = max(1, round(s * Fraction(scale)))
-    return N, m, s, (scale if scale is not None else 1.0)
-
-
 def _law_for(mode) -> str:
     """The theoretical law of an experiment mode: Exp(1) for the scaled
     hitting time, the accompanying CDF for the longest run."""
@@ -259,7 +240,18 @@ def _against(empirical, ref_name: str, dist=None, N=None):
 def cmd_experiment(args) -> int:
     if not 1 <= args.threads <= MAX_THREADS:
         raise ValidationError(f"--threads must be in 1..{MAX_THREADS}, got {args.threads}")
-    N, m, s, scale = _experiment_size(args)
+    if args.figure is not None:
+        _fill_unset(args, zip(("p", "q1", "q2", "N", "s", "m"), FIGURE_PRESETS[args.figure]))
+    _require(args, "s", "N" if args.mode == "longest" else "m")
+    # hitting runs are unbounded; the longest run has no window
+    N, m = (args.N, None) if args.mode == "longest" else (None, args.m)
+    s, scale = args.s, args.scale
+    if scale is not None:
+        if not (0 < scale <= 1):
+            raise ValidationError(f"--scale must lie in (0, 1], got {scale}")
+        # exact products: an int N past the double range does not overflow
+        N = None if N is None else max(1, round(N * Fraction(scale)))
+        s = max(1, round(s * Fraction(scale)))
     dist = _dist(args)
     # named from every field that changes the results; floats by repr keep every digit
     p, q1, q2 = dist.as_floats()
@@ -277,7 +269,7 @@ def cmd_experiment(args) -> int:
     wall = time.perf_counter() - t0
 
     config = {"mode": args.mode, "p": args.p, "q1": args.q1, "q2": args.q2,
-              "N": N, "s": s, "m": m, "seed": args.seed, "scale": scale}
+              "N": N, "s": s, "m": m, "seed": args.seed, "scale": 1.0 if scale is None else scale}
     meta = {**{k: "" if v is None else v for k, v in config.items()},
             "rng_scheme": mc.RNG_SCHEME_ID, "tool_version": __version__}
     emp_path = out_dir / f"{prefix}_empirical.csv"

@@ -32,6 +32,8 @@ from .scan import ChunkScanner
 
 RNG_SCHEME_ID = "pcg64-seedseq-spawnkey-invcdf-v1"
 HITTING_SAFETY_CAP = 10 ** 9
+MAX_REPETITIONS = 1 << 22  # per run: their results take about 250 MB
+MAX_RUN_SYMBOLS = 1 << 40  # per run: about 1.7 h on 2 threads at 11 ns per symbol
 _CHUNK = 1 << 16  # symbols per draw; longer draws are no faster and raise peak RSS
 _BLOCK_BITS = 12  # 4096 repetitions per seed-table block; 4096 divides 2^32
 _M32 = 0xFFFFFFFF
@@ -176,18 +178,22 @@ class ExperimentResult:
 
 
 def _map_reps(fn: Callable[[np.random.Generator], object], s: int, seed: int,
-              workers: int, work: int) -> list:
+              workers: int, work: float) -> list:
     """[fn(repetition_rng(seed, i)) for i in range(s)], on up to `workers` threads.
 
-    `work` sizes a repetition's numpy calls: the symbols of one draw of a
-    longest run, or twice the expected hitting time of a hitting run, at
-    most _CHUNK either way.  A second thread pays only once it is at least
-    _CHUNK // 2 (on a 2-vCPU VM, thirds hitting at m = 12, work 12,922,
-    s = 4000, took 0.55 s on one thread and 0.83 s on two), so less runs
-    on one thread.
+    `work` is the symbols one repetition works through: N for a longest
+    run, twice the expected hitting time (at least 4m) for a hitting run.
+    A run past MAX_REPETITIONS repetitions or MAX_RUN_SYMBOLS symbols in
+    all is refused before anything is allocated.  A second thread pays
+    only once `work` is at least _CHUNK // 2 (on a 2-vCPU VM, thirds
+    hitting at m = 12, work 12,922, s = 4000, took 0.55 s on one thread
+    and 0.83 s on two), so less runs on one thread.
     """
     if s < 1 or seed < 0:
         raise ValidationError(f"need s >= 1 and seed >= 0, got s={s}, seed={seed}")
+    if s > MAX_REPETITIONS or s * work > MAX_RUN_SYMBOLS:
+        raise SizeError(f"s={s} repetitions of work={work} symbols each are past the caps "
+                        f"of {MAX_REPETITIONS} repetitions and {MAX_RUN_SYMBOLS} symbols per run")
     # Freeing one block just under glibc's 32 MiB mmap cap lifts its mmap and
     # trim thresholds to ~31 and ~62 MiB: every chunk's temporaries then stay
     # on the heap, not mapped and page-faulted per repetition (other libcs: no-op).
@@ -218,7 +224,7 @@ def run_longest_experiment(dist: TrialDistribution, N: int, s: int, seed: int,
             scanner.push(block)
         return scanner.best - center
 
-    offsets = _map_reps(one, s, seed, workers, min(_CHUNK, N))
+    offsets = _map_reps(one, s, seed, workers, N)
     return ExperimentResult(empirical=EmpiricalDistribution.from_samples(offsets))
 
 
@@ -246,8 +252,7 @@ def run_hitting_experiment(dist: TrialDistribution, m: int, s: int, seed: int,
                 return hit * scale
         return math.nan  # capped; excluded from the empirical law
 
-    work = min(_CHUNK, max(4 * m, 2.0 / scale))
-    scaled = np.asarray(_map_reps(one, s, seed, workers, work))
+    scaled = np.asarray(_map_reps(one, s, seed, workers, max(4 * m, 2.0 / scale)))
     capped = np.isnan(scaled)
     if capped.all():
         raise SizeError(f"none of the {s} repetitions hit within the cap of "

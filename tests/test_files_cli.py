@@ -660,6 +660,8 @@ def test_missing_or_unknown_experiment_inputs_are_usage_errors(capsys, tmp_path,
 @pytest.mark.parametrize("top,extra,named", [
     (("--seed", "-1"), (), "seed=-1"),
     ((), ("--s", "0"), "s=0"),
+    ((), ("--scale", "0"), "--scale"),
+    ((), ("--scale", "1.5"), "--scale"),
 ])
 def test_negative_seed_or_no_repetitions_is_refused_by_name(capsys, tmp_path, mode_args,
                                                           top, extra, named):
@@ -671,16 +673,31 @@ def test_negative_seed_or_no_repetitions_is_refused_by_name(capsys, tmp_path, mo
 
 
 @pytest.mark.parametrize("mode_args", [
-    ("--N", "10"),
-    ("--mode", "hitting", "--m", "3"),
-])
-def test_repetitions_past_memory_are_refused(capsys, tmp_path, mode_args):
     # one result slot per repetition: 10^14 slots take 800 TB, past any
     # machine's memory and past the 128 TiB a process can address
+    ("--N", "10", "--s", str(10 ** 14)),
+    ("--mode", "hitting", "--m", "3", "--s", str(10 ** 14)),
+    # 10^18 symbols would draw for centuries, 10^8 hitting repetitions for
+    # hours, and 10^9 slots take 8 GB before the first draw
+    ("--N", str(10 ** 18), "--s", "1"),
+    ("--mode", "hitting", "--m", "12", "--s", str(10 ** 8)),
+    ("--N", "4", "--s", str(10 ** 9)),
+])
+def test_repetitions_past_memory_are_refused(capsys, tmp_path, mode_args):
     code, _, err = run_cli(capsys, "--out", str(tmp_path / "out"), "experiment",
-                           *THIRDS_ARGS, *mode_args, "--s", str(10 ** 14))
+                           *THIRDS_ARGS, *mode_args)
     assert code == EXIT_BUDGET and err.startswith("refused: ") and "Traceback" not in err
     assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+
+def test_running_out_of_memory_is_refused(capsys, tmp_path, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr("contamruns.montecarlo.run_longest_experiment", out_of_memory)
+    code, _, err = run_cli(capsys, "--out", str(tmp_path / "out"), "experiment",
+                           *THIRDS_ARGS, "--N", "10", "--s", "2")
+    assert code == EXIT_BUDGET and err.startswith("refused: not enough memory")
+    assert "Traceback" not in err
 
 
 def test_empty_metadata_counts_as_missing(capsys, tmp_path):

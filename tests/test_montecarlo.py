@@ -6,6 +6,7 @@ import resource
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from contamruns import montecarlo
 from contamruns.analytic import m_of_n, theorem1_limit_cdf
-from contamruns.model import TrialDistribution, ValidationError
+from contamruns.model import SizeError, TrialDistribution, ValidationError
 from contamruns.montecarlo import (
     _CHUNK,
+    MAX_REPETITIONS,
+    MAX_RUN_SYMBOLS,
     EmpiricalDistribution,
     _map_reps,
     repetition_rng,
@@ -153,15 +156,31 @@ def test_map_reps_propagates_an_exception():
 
 
 def test_map_reps_threads_only_for_long_chunks():
-    # a second thread starts only once the run's chunks have _CHUNK // 2 symbols
-    for chunk, threads in ((_CHUNK // 2 - 1, 1), (_CHUNK // 2, 2), (_CHUNK, 2)):
+    # a second thread starts only once a repetition works through _CHUNK // 2 symbols
+    for work, threads in ((_CHUNK // 2 - 1, 1), (_CHUNK // 2, 2), (_CHUNK, 2),
+                          (4 * _CHUNK, 2)):
         idents = set()
 
         def fn(rng):
             idents.add(threading.get_ident())
             time.sleep(0.005)  # keep the first worker busy while the second starts
-        _map_reps(fn, 4, 0, 2, chunk)
-        assert len(idents) == threads, chunk
+        _map_reps(fn, 4, 0, 2, work)
+        assert len(idents) == threads, work
+
+
+@pytest.mark.parametrize("s, work", [(MAX_REPETITIONS + 1, 1), (1, MAX_RUN_SYMBOLS + 1)])
+def test_map_reps_refuses_runs_past_the_caps(s, work):
+    calls = []
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match=f"s={s} .*work={work} "):
+            _map_reps(calls.append, s, 0, 2, work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and peak < 1 << 20  # refused before the slots and the heap warm-up
+    _map_reps(calls.append, 1, 0, 2, MAX_RUN_SYMBOLS)  # the caps themselves are allowed
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("dist, m, threads", [(THIRDS, 12, 1), (THIRDS, 14, 2),
