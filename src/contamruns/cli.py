@@ -260,12 +260,21 @@ def cmd_experiment(args) -> int:
     if len(prefix) > 200:  # checked before the run: file names stop at 255 bytes
         raise ValidationError("--seed, --N or --s is too long for the output file names")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the run, so an unusable --out fails fast
     t0 = time.perf_counter()
-    if args.mode == "longest":
-        result = mc.run_longest_experiment(dist, N, s, args.seed, workers=args.threads)
-    else:
-        result = mc.run_hitting_experiment(dist, m, s, args.seed, workers=args.threads)
+    try:
+        if args.mode == "longest":
+            result = mc.run_longest_experiment(dist, N, s, args.seed, workers=args.threads)
+        else:
+            result = mc.run_hitting_experiment(dist, m, s, args.seed, workers=args.threads)
+    except (SizeError, ValidationError, MemoryError):
+        for d in made:  # a refused run leaves no directory behind that this call made
+            try:
+                d.rmdir()  # only while empty
+            except OSError:
+                break
+        raise
     wall = time.perf_counter() - t0
 
     config = {"mode": args.mode, "p": args.p, "q1": args.q1, "q2": args.q2,

@@ -616,7 +616,7 @@ def test_hitting_run_with_every_repetition_capped_is_refused(capsys, tmp_path, m
         code, _, err = run_cli(capsys, "--seed", seed, "--out", str(tmp_path / "none"),
                                "experiment", *argv, "--s", "1")
         assert code == EXIT_BUDGET and "cap of 200 symbols" in err
-        assert list((tmp_path / "none").iterdir()) == []
+        assert list(tmp_path.iterdir()) == []
     # with some repetitions left, the capped ones are counted as excluded
     code, out, err = run_cli(capsys, "--json", "--seed", "0", "--out", str(tmp_path / "some"),
                              "experiment", *argv, "--s", "10")
@@ -665,11 +665,11 @@ def test_missing_or_unknown_experiment_inputs_are_usage_errors(capsys, tmp_path,
 ])
 def test_negative_seed_or_no_repetitions_is_refused_by_name(capsys, tmp_path, mode_args,
                                                           top, extra, named):
-    # the runner refuses it: --out may be created, but stays empty
+    # the runner refuses it, and --out is not left behind
     code, _, err = run_cli(capsys, *top, "--out", str(tmp_path / "out"), "experiment",
                            *THIRDS_ARGS, *mode_args, *extra)
     assert code == EXIT_VALIDATION and named in err
-    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("mode_args", [
@@ -687,7 +687,25 @@ def test_repetitions_past_memory_are_refused(capsys, tmp_path, mode_args):
     code, _, err = run_cli(capsys, "--out", str(tmp_path / "out"), "experiment",
                            *THIRDS_ARGS, *mode_args)
     assert code == EXIT_BUDGET and err.startswith("refused: ") and "Traceback" not in err
-    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_refused_run_removes_only_the_directories_it_made(capsys, tmp_path):
+    (tmp_path / "kept").mkdir()
+    code, _, _ = run_cli(capsys, "--out", str(tmp_path / "kept" / "a" / "b"), "experiment",
+                         *THIRDS_ARGS, "--N", str(10 ** 18), "--s", "1")
+    assert code == EXIT_BUDGET
+    assert list(tmp_path.rglob("*")) == [tmp_path / "kept"]
+
+
+def test_out_under_a_regular_file_is_refused_before_the_run(capsys, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+    monkeypatch.setattr("contamruns.montecarlo.run_longest_experiment", never)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    code, _, err = run_cli(capsys, "--out", str(tmp_path / "file" / "out"), "experiment",
+                           *THIRDS_ARGS, "--N", "10", "--s", "2")
+    assert code == EXIT_IO and err.startswith("I/O error")
 
 
 def test_running_out_of_memory_is_refused(capsys, tmp_path, monkeypatch):
@@ -698,6 +716,7 @@ def test_running_out_of_memory_is_refused(capsys, tmp_path, monkeypatch):
                            *THIRDS_ARGS, "--N", "10", "--s", "2")
     assert code == EXIT_BUDGET and err.startswith("refused: not enough memory")
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_empty_metadata_counts_as_missing(capsys, tmp_path):

@@ -220,3 +220,56 @@ def test_scanner_matches_suffix_recursion(p, q1):
     assert scan_pieces(pieces) == best
     for m in ms:
         assert scan_pieces(pieces, m) == hits[m]
+
+
+# --- the candidate test of `push` at its edges ------------------------------
+
+def bests_after_each(pieces, thresholds=()):
+    """The scanner's best after each piece."""
+    scanner, bests = ChunkScanner(*thresholds), []
+    for piece in pieces:
+        scanner.push(piece)
+        bests.append(scanner.best)
+    return bests
+
+
+def prefix_bests(codes, pieces):
+    """The suffix recursion's best on the codes up to the end of each piece."""
+    ends = np.cumsum([len(piece) for piece in pieces])
+    return [reference_scan(codes[:end].tolist(), ())[0] for end in ends]
+
+
+@pytest.mark.parametrize("pieces, expected", [
+    # the second piece's longest run (8..13) ties the carried best of 6; the
+    # third piece's, 9..15, is one longer and its triple (8, 14, 15, 16)
+    # holds two failures carried from the piece before
+    ([[0, 0, 0, 1, 0, 0, 1], [1, 0, 0, 0, 0, 0, 1], [2, 1, 1]], [6, 6, 7]),
+    # the record run 4..9 holds 4 and 5; its triple (3, 4, 5, 10) holds one
+    # failure carried from the first piece
+    ([[0, 0, 1], [1, 2, 0, 0, 0, 0, 2]], [3, 6]),
+    # the first pieces hold no failures: the floor alone sets best
+    ([[], [0, 0, 0], [0, 1, 0]], [0, 3, 6]),
+    # the second piece holds the single failure 6, the third the single failure 10
+    ([[1, 0, 1], [0, 0, 2, 0, 0], [0, 1]], [2, 7, 8]),
+])
+def test_push_at_the_edges_of_the_candidate_test(pieces, expected):
+    pieces = [np.array(piece, dtype=np.uint8) for piece in pieces]
+    assert bests_after_each(pieces) == prefix_bests(np.concatenate(pieces), pieces) == expected
+
+
+@st.composite
+def long_runs_in_short_pieces(draw):
+    """Uniforms at p >= 0.8, so runs are long, cut into many short pieces."""
+    p = draw(st.floats(0.8, 1, exclude_max=True))
+    q1 = draw(st.floats(0, 1 - p))
+    u = np.array(draw(st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=300)))
+    cuts = draw(st.lists(st.integers(0, len(u)), min_size=10, max_size=60))
+    return u, (p, p + q1), np.split(u, sorted(cuts))
+
+
+@settings(max_examples=100)
+@given(long_runs_in_short_pieces())
+def test_push_keeps_best_over_many_short_pieces(case):
+    u, thresholds, pieces = case
+    codes = (u >= thresholds[0]).view(np.uint8) + (u >= thresholds[1])
+    assert bests_after_each(pieces, thresholds) == prefix_bests(codes, pieces)
