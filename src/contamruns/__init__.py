@@ -24,10 +24,7 @@ _EXPORTS = {
         "EmpiricalDistribution", "ExperimentResult", "RNG_SCHEME_ID", "run_hitting_experiment",
         "run_longest_experiment", "sup_distance", "sup_distance_lattice", "sup_distance_step",
     ),
-    "oracle": (
-        "dp_longest_cdf", "enumerate_conditional", "joint_survival_by_enumeration",
-        "window_probability_by_enumeration",
-    ),
+    "oracle": ("dp_longest_cdf",),
     "scan": ("first_hitting", "longest_run"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

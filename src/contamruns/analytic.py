@@ -107,12 +107,13 @@ def joint_survival_aggregated(dist: TrialDistribution, m: int):
 def _survival_and_pa1(dist: TrialDistribution, m: int):
     """(P(Abar_2 ... Abar_m | A1), P(A1)); a ValidationError where a float
     P(A1) has underflowed to 0.0 (an exact one never does)."""
+    joint = joint_survival_aggregated(dist, m)  # first: it checks m >= 2
     pa1 = window_probability(dist, m)
     if pa1 == 0:
         raise ValidationError(f"P(A1) at m={m} underflows to 0.0 in floating point, so "
                               f"P(Abar_2..Abar_m | A1) is undefined; give p, q1 and q2 "
                               f"as exact fractions")
-    return joint_survival_aggregated(dist, m) / pa1, pa1
+    return joint / pa1, pa1
 
 
 def conditional_survival(dist: TrialDistribution, m: int):

@@ -139,6 +139,9 @@ def cmd_analytic(args) -> int:
         b = an.alpha_correction(_dist(args), args.m)
         payload = {k: finite_float(getattr(b, k), k)
                    for k in ("alpha", "numerator", "denominator")}
+        if not b.alpha > 0:
+            raise ValidationError(f"alpha = {payload['alpha']:.9g} at m={args.m}: the finite-m "
+                                  f"formula leaves (0, 1] here, so it gives no rate")
         _emit(args, payload,
               f"alpha = {payload['alpha']:.9g} (numerator {payload['numerator']:.9g} "
               f"/ denominator {payload['denominator']:.9g})")
@@ -201,12 +204,12 @@ def cmd_oracle(args) -> int:
                     else f"P(tau_{args.m} > {args.N})", v)
     elif q == "conditional":
         _require(args, "m")
-        v = orc.enumerate_conditional(dist, args.m)
+        v = an.conditional_survival(dist, args.m)
         _print_prob(args, f"P(no recurrence in windows 2..{args.m} | A1)", v)
     elif q == "window":
         _require(args, "m")
-        v = orc.window_probability_by_enumeration(dist, args.m)
-        _print_prob(args, "P(A1) by enumeration", v)
+        v = an.window_probability(dist, args.m)
+        _print_prob(args, "P(A1)", v)
     return 0
 
 
@@ -360,7 +363,7 @@ def build_parser() -> _Parser:
     pa.add_argument("--k", type=int)
     pa.set_defaults(fn=cmd_analytic)
 
-    po = sub.add_parser("oracle", help="exact enumeration / DP oracles")
+    po = sub.add_parser("oracle", help="exact probabilities: the DP and the closed forms")
     po.add_argument("query", choices=["longest-cdf", "hitting-tail", "conditional", "window"])
     add_dist(po)
     po.add_argument("--m", type=int)

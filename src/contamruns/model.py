@@ -2,8 +2,8 @@
 
 Outcomes are encoded as small integers (0 = success, 1 = failure of
 type I, 2 = failure of type II): the codes that `scan.longest_run` and
-`scan.first_hitting` read and that the oracle's enumeration writes.  The
-experiments draw no codes; they scan the uniforms they draw.
+`scan.first_hitting` read.  The experiments draw no codes; they scan
+the uniforms they draw.
 """
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ class ValidationError(ValueError):
 
 
 class SizeError(ValueError):
-    """Raised when a query exceeds an enumeration size, the DP work budget
-    or the exact-arithmetic size cap of the closed forms."""
+    """Raised when a query exceeds the DP work budget, the exact-arithmetic
+    size cap of the closed forms or a Monte Carlo run's size cap."""
 
 
 def _is_exact(x) -> bool:

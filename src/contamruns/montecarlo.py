@@ -33,7 +33,7 @@ from .scan import ChunkScanner
 RNG_SCHEME_ID = "pcg64-seedseq-spawnkey-invcdf-v1"
 HITTING_SAFETY_CAP = 10 ** 9
 MAX_REPETITIONS = 1 << 22  # per run: their results take about 250 MB
-MAX_RUN_SYMBOLS = 1 << 40  # per run: about 1.2 h on 2 threads at 8 ns per symbol
+MAX_RUN_SYMBOLS = 1 << 40  # per run: about 50 min on 2 threads at 2.8 ns per symbol (figure 1)
 _CHUNK = 1 << 16  # symbols per draw; longer draws are no faster and raise peak RSS
 _BLOCK_BITS = 12  # 4096 repetitions per seed-table block; 4096 divides 2^32
 _M32 = 0xFFFFFFFF

@@ -1,25 +1,21 @@
-"""Ground-truth probabilities at small scale.
+"""Exact longest-run probabilities: P(mu(N) < m) = P(tau_m > N).
 
-Two independent routes:
+A finite Markov chain imbedding (Fu & Koutras, JASA 89 (1994)
+1050-1058) on the minimal exact chain: states (L, a, b), the suffix
+length and the gaps to the last failure of each type capped at L,
+S = m(m+1)(2m+1)/6 - m(m-1)/2 of them, about m^3/3.  Swapping the
+failure types, (L, a, b) -> (L, b, a), maps the chain onto itself,
+and when q1 = q2 it maps the weights too; the recursion's vector is
+then symmetric and the chain lumps exactly onto the (S + m)/2 states
+with a <= b.  One backward recursion serves both backends:
+Python integers over the common denominator of (p, q1, q2), divided
+once at the end (exact mode, Fraction inputs), or float64.  The float
+recursion stops once its Collatz-Wielandt bracket on the chain's
+Perron root has converged (Fu & Johnson, Adv. Appl. Prob. 41 (2009)
+292-308) and extrapolates the remaining steps.
 
-* full enumeration over all 3^n sequences (n <= 14), exact when the
-  trial distribution is given as Fractions;
-* a finite Markov chain imbedding (Fu & Koutras, JASA 89 (1994)
-  1050-1058) on the minimal exact chain: states (L, a, b), the suffix
-  length and the gaps to the last failure of each type capped at L,
-  S = m(m+1)(2m+1)/6 - m(m-1)/2 of them, about m^3/3.  Swapping the
-  failure types, (L, a, b) -> (L, b, a), maps the chain onto itself,
-  and when q1 = q2 it maps the weights too; the recursion's vector is
-  then symmetric and the chain lumps exactly onto the (S + m)/2 states
-  with a <= b.  One backward recursion serves both backends:
-  Python integers over the common denominator of (p, q1, q2), divided
-  once at the end (exact mode, Fraction inputs), or float64.  The float
-  recursion stops once its Collatz-Wielandt bracket on the chain's
-  Perron root has converged (Fu & Johnson, Adv. Appl. Prob. 41 (2009)
-  292-308) and extrapolates the remaining steps.
-
-Enumeration never consults the closed forms: each probability is one
-weighted count of the sequences by (statistic, #type-I, #type-II).
+The tests check it against enumeration of all 3^n sequences
+(tests/crosscheck.py).
 """
 from __future__ import annotations
 
@@ -30,89 +26,11 @@ import numpy as np
 
 from .model import (
     DEFAULT_BUDGET,
-    Outcome,
     SizeError,
     TrialDistribution,
     ValidationError,
     check_window_length,
 )
-
-ENUM_MAX_N = 14
-
-
-def _all_sequences(n: int) -> np.ndarray:
-    """All 3^n sequences as rows of a (3^n, n) uint8 array, in itertools.product order."""
-    if n > ENUM_MAX_N:
-        raise SizeError(f"enumeration limited to n <= {ENUM_MAX_N} (3^n sequences), got n={n}")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    return np.indices((3,) * n, dtype=np.uint8).reshape(n, -1).T
-
-
-def _law(dist: TrialDistribution, codes: np.ndarray, key: np.ndarray) -> dict:
-    """{v: P(key = v)} for each nonzero v of `key`, a small int or bool per row:
-    the rows are counted by (key, #type-I, #type-II) and each count is
-    weighted by p^#S q1^#I q2^#II, summed in (#type-I, #type-II) order."""
-    n = codes.shape[1]
-    selected = np.flatnonzero(key)
-    rows = codes[selected]
-    n1 = (rows == int(Outcome.FAIL_PLUS)).sum(axis=1, dtype=np.uint8)  # n <= 14
-    n2 = (rows == int(Outcome.FAIL_MINUS)).sum(axis=1, dtype=np.uint8)
-    counts = np.bincount((key[selected].astype(np.intp) * (n + 1) + n1) * (n + 1) + n2)
-    p, q1, q2 = (dist.p, dist.q1, dist.q2) if dist.is_exact else dist.as_floats()
-    law = {}
-    for cell in np.flatnonzero(counts).tolist():  # cell = (v (n+1) + a) (n+1) + b
-        v, a, b = cell // (n + 1) ** 2, cell // (n + 1) % (n + 1), cell % (n + 1)
-        law[v] = law.get(v, 0) + int(counts[cell]) * p ** (n - a - b) * q1 ** a * q2 ** b
-    return law
-
-
-def _suffix_length_columns(codes: np.ndarray):
-    """Yield (t, L_t) per position for every row of `codes` at once."""
-    # the valid suffix starts after `start`; a failure moves it up to the last of its type
-    start, last_plus, last_minus = np.zeros((3, codes.shape[0]), dtype=np.int32)
-    for t in range(1, codes.shape[1] + 1):
-        col = codes[:, t - 1]
-        for last, kind in ((last_plus, Outcome.FAIL_PLUS), (last_minus, Outcome.FAIL_MINUS)):
-            hit = col == int(kind)
-            np.maximum(start, last * hit, out=start)  # last * hit is 0 off the hits
-            last[hit] = t
-        yield t, t - start
-
-
-def window_probability_by_enumeration(dist: TrialDistribution, m: int):
-    """P(A1) by counting valid m-windows (independent of the closed form)."""
-    check_window_length(m, 1)
-    codes = _all_sequences(m)
-    valid = ((codes == int(Outcome.FAIL_PLUS)).sum(axis=1, dtype=np.uint8) <= 1) \
-        & ((codes == int(Outcome.FAIL_MINUS)).sum(axis=1, dtype=np.uint8) <= 1)
-    return _law(dist, codes, valid)[True]
-
-
-def joint_survival_by_enumeration(dist: TrialDistribution, m: int):
-    """P(A1 Abar_2 ... Abar_m) by enumerating X_1..X_{2m-1}.
-
-    Window j is valid iff the suffix length at position j+m-1 is >= m.
-    """
-    check_window_length(m, 2)
-    codes = _all_sequences(2 * m - 1)
-    later_valid = np.zeros(codes.shape[0], dtype=bool)
-    for t, lengths in _suffix_length_columns(codes):
-        if t == m:
-            first_valid = lengths >= m
-        elif t > m:
-            later_valid |= lengths >= m
-    return _law(dist, codes, first_valid & ~later_valid).get(True, 0)
-
-
-def enumerate_conditional(dist: TrialDistribution, m: int):
-    """P(Abar_2 ... Abar_m | A1), exactly, for m <= 7."""
-    if 2 * m - 1 > ENUM_MAX_N:
-        raise SizeError(f"conditional enumeration needs 3^(2m-1) sequences; m <= 7, got m={m}")
-    return joint_survival_by_enumeration(dist, m) / window_probability_by_enumeration(dist, m)
-
-
-# --- dynamic program over the minimal suffix chain --------------------
 
 # Cost model of dp_longest_cdf, in word operations of 1-3 ns each.
 # Measured with numpy on a 2-vCPU x86-64 VM:

@@ -27,15 +27,16 @@ from contamruns.montecarlo import (
     sup_distance,
     sup_distance_lattice,
 )
-from contamruns.oracle import (
-    dp_longest_cdf,
-    enumerate_conditional,
-    joint_survival_by_enumeration,
-    window_probability_by_enumeration,
-)
+from contamruns.oracle import dp_longest_cdf
 from contamruns.scan import ChunkScanner
 
-from crosscheck import joint_survival_casewise, longest_run_distribution_by_enumeration
+from crosscheck import (
+    enumerate_conditional,
+    joint_survival_by_enumeration,
+    joint_survival_casewise,
+    longest_run_distribution_by_enumeration,
+    window_probability_by_enumeration,
+)
 
 THIRDS = TrialDistribution(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 SKEWED = TrialDistribution(Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))

@@ -20,14 +20,15 @@ from contamruns.analytic import (
     window_probability,
 )
 from contamruns.model import SizeError, TrialDistribution, ValidationError
-from contamruns.oracle import (
-    dp_longest_cdf,
+from contamruns.oracle import dp_longest_cdf
+
+from crosscheck import (
     enumerate_conditional,
     joint_survival_by_enumeration,
+    joint_survival_casewise,
+    swapped,
     window_probability_by_enumeration,
 )
-
-from crosscheck import joint_survival_casewise, swapped
 
 THIRDS = TrialDistribution(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 SKEWED = TrialDistribution(Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))

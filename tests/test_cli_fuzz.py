@@ -20,7 +20,7 @@ from contamruns.cli import main
 from contamruns.files import write_empirical_csv
 from contamruns.montecarlo import EmpiricalDistribution
 
-DEADLINE_S = 20  # the slowest accepted calls (enumeration at n = 14, a DP at its budget) take ~2 s
+DEADLINE_S = 20  # the slowest accepted calls (a DP at its budget) take ~2 s, the closed forms < 1 s
 BIG = 10 ** 350
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])

@@ -171,9 +171,31 @@ def test_exit_code_validation(capsys):
 
 
 def test_exit_code_budget(capsys):
+    # 60000 windows of thirds need p^m with 120000 bits, past EXACT_MAX_BITS
     code, _, err = run_cli(capsys, "oracle", "conditional",
-                           "--p", "1/3", "--q1", "1/3", "--q2", "1/3", "--m", "9")
-    assert code == EXIT_BUDGET and "m <= 7" in err
+                           "--p", "1/3", "--q1", "1/3", "--q2", "1/3", "--m", "60000")
+    assert code == EXIT_BUDGET and "exact closed forms at m=60000" in err
+
+
+@pytest.mark.parametrize("query,m,exact", [("conditional", 8, "72086/159651"),
+                                           ("window", 15, "241/14348907")])
+def test_oracle_window_and_conditional_answer_past_small_m(capsys, query, m, exact):
+    # the closed forms answer for every m the exact-size cap admits
+    code, out, _ = run_cli(capsys, "--json", "oracle", query, *THIRDS_ARGS, "--m", str(m))
+    assert code == 0 and json.loads(out)["exact"] == exact
+    code, out, _ = run_cli(capsys, "oracle", query, *THIRDS_ARGS, "--m", str(m))
+    assert code == 0 and f" = {exact} ~ " in out
+
+
+@pytest.mark.parametrize("dist_args,m", [
+    (("--p", "0.999998", "--q1", "0.000001", "--q2", "0.000001"), 100),  # alpha = -2.25e-6
+    (("--p", "0.57", "--q1", "0.215", "--q2", "0.215"), 2),              # alpha = -0.22
+])
+def test_analytic_alpha_refuses_a_rate_outside_the_unit_interval(capsys, dist_args, m):
+    code, out, err = run_cli(capsys, "analytic", "alpha", *dist_args, "--m", str(m))
+    assert code == EXIT_VALIDATION and out == "" and "leaves (0, 1]" in err
+    code, out, _ = run_cli(capsys, "--json", "analytic", "alpha", *THIRDS_ARGS, "--m", "10")
+    assert code == 0 and json.loads(out)["alpha"] == pytest.approx(659 / 1332, rel=1e-15)
 
 
 def test_exit_code_io(capsys):

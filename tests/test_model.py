@@ -129,7 +129,8 @@ def test_package_exports_functions_and_classes_only():
     moved = {"joint_survival_casewise", "enumerate_event", "longest_cdf_by_enumeration",
              "simulate_sequence", "is_window_valid", "swapped",
              "h_function_terms", "accompanying_cdf_details", "exponent_l", "ExperimentConfig",
-             "longest_run_distribution_by_enumeration"}
+             "longest_run_distribution_by_enumeration", "window_probability_by_enumeration",
+             "joint_survival_by_enumeration", "enumerate_conditional"}
     assert not any(inspect.ismodule(getattr(contamruns, name)) for name in contamruns.__all__)
     assert moved.isdisjoint(contamruns.__all__)
     assert not any(hasattr(getattr(contamruns, module), name)

@@ -10,21 +10,21 @@ from contamruns.model import TrialDistribution, ValidationError
 from contamruns.oracle import (
     BUILD_COST,
     SizeError,
-    _all_sequences,
     _dp_chain,
     _dp_float,
     _dp_work,
     dp_longest_cdf,
-    enumerate_conditional,
-    joint_survival_by_enumeration,
-    window_probability_by_enumeration,
 )
 
 from crosscheck import (
+    _all_sequences,
+    enumerate_conditional,
     enumerate_event,
     is_window_valid,
+    joint_survival_by_enumeration,
     longest_cdf_by_enumeration,
     longest_run_distribution_by_enumeration,
+    window_probability_by_enumeration,
 )
 
 THIRDS = TrialDistribution(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
