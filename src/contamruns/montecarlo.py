@@ -37,6 +37,10 @@ MAX_RUN_SYMBOLS = 1 << 40  # per run: about 50 min on 2 threads at 2.8 ns per sy
 _CHUNK = 1 << 16  # symbols per draw; longer draws are no faster and raise peak RSS
 _BLOCK_BITS = 12  # 4096 repetitions per seed-table block; 4096 divides 2^32
 _M32 = 0xFFFFFFFF
+# Freeing one block just under glibc's 32 MiB mmap cap lifts its mmap and trim
+# thresholds to ~31 and ~62 MiB, never to be lowered: every _CHUNK draw's and
+# scan's temporaries then stay on the heap, not mapped and faulted (other libcs: no-op).
+np.empty(31 << 20, np.uint8)
 
 
 def repetition_rng(seed: int, rep: int) -> np.random.Generator:
@@ -186,18 +190,14 @@ def _map_reps(fn: Callable[[np.random.Generator], object], s: int, seed: int,
     A run past MAX_REPETITIONS repetitions or MAX_RUN_SYMBOLS symbols in
     all is refused before anything is allocated.  A second thread pays
     only once `work` is at least _CHUNK // 2 (on a 2-vCPU VM, thirds
-    hitting at m = 12, work 12,922, s = 4000, took 0.55 s on one thread
-    and 0.83 s on two), so less runs on one thread.
+    hitting at m = 12, work 12,922, s = 4000, took 0.29-0.40 s on one
+    thread and 0.45-0.53 s on two), so less runs on one thread.
     """
     if s < 1 or seed < 0:
         raise ValidationError(f"need s >= 1 and seed >= 0, got s={s}, seed={seed}")
     if s > MAX_REPETITIONS or s * work > MAX_RUN_SYMBOLS:
         raise SizeError(f"s={s} repetitions of work={work} symbols each are past the caps "
                         f"of {MAX_REPETITIONS} repetitions and {MAX_RUN_SYMBOLS} symbols per run")
-    # Freeing one block just under glibc's 32 MiB mmap cap lifts its mmap and
-    # trim thresholds to ~31 and ~62 MiB: every chunk's temporaries then stay
-    # on the heap, not mapped and page-faulted per repetition (other libcs: no-op).
-    np.empty(31 << 20, np.uint8)
     workers = min(workers, s) if work >= _CHUNK // 2 else 1
     # one task per worker: worker w runs repetitions w, w + W, w + 2W, ...
     # into their slots, so results stay in repetition order

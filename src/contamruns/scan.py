@@ -23,8 +23,7 @@ which holds the one failure f_j and so is always valid.  At thirds a
 2^16-symbol block holds about 43,700 failures.  At N = 3e5 a median of 7
 of them are candidates in the first block (at most 51 over 300
 repetitions) and 0 in later ones (at most 13); traced `mc-longest` reads
-3.21 ns per symbol for the scan, where evaluating every failure read
-5.35.
+3.21 ns per symbol for the scan.
 
 The chunk scanner reads values against two thresholds: a symbol is a
 failure when its value is at least `fail_at`, and of the second type when

@@ -2,7 +2,7 @@
 import json
 import math
 import platform
-import resource
+import subprocess
 import sys
 import threading
 import time
@@ -178,7 +178,7 @@ def test_map_reps_refuses_runs_past_the_caps(s, work):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert calls == [] and peak < 1 << 20  # refused before the slots and the heap warm-up
+    assert calls == [] and peak < 1 << 20  # refused before the slots
     _map_reps(calls.append, 1, 0, 2, MAX_RUN_SYMBOLS)  # the caps themselves are allowed
     assert len(calls) == 1
 
@@ -241,16 +241,46 @@ def test_hitting_scaled_values_positive():
     assert 0.6 < mean < 1.4
 
 
+# run twice in a fresh interpreter, since the heap thresholds are process-wide
+# and any earlier test would have raised them; prints the faults of the second run
+HEAP_PROBE = f"""
+import resource, sys
+sys.path.insert(0, {str(Path(montecarlo.__file__).resolve().parent.parent)!r})
+from fractions import Fraction
+from contamruns.model import TrialDistribution
+from contamruns.montecarlo import outcome_chunks, repetition_rng, run_longest_experiment
+from contamruns.scan import ChunkScanner
+
+THIRDS = TrialDistribution(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+p, q1, _ = THIRDS.as_floats()
+
+def experiment():
+    run_longest_experiment(THIRDS, 3 << 20, 2, 3)
+
+def direct_loop():
+    scanner = ChunkScanner(p, p + q1)
+    for block in outcome_chunks(repetition_rng(3, 0), 3 << 20):
+        scanner.push(block)
+
+run = globals()[sys.argv[1]]
+run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the heap warm-up acts on glibc's dynamic mmap threshold")
-def test_longest_repetitions_reuse_the_heap():
+@pytest.mark.parametrize("entry", ["experiment", "direct_loop"])
+def test_longest_repetitions_reuse_the_heap(entry):
     # 3 * 2^20 symbols span several draw chunks per repetition; once the
-    # first run has grown the heap, the second maps and faults no new pages
-    run_longest_experiment(THIRDS, 3 << 20, 2, 3)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    run_longest_experiment(THIRDS, 3 << 20, 2, 3)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults < 500
+    # first run has grown the heap, the second maps and faults no new pages,
+    # whether or not it goes through the experiment driver
+    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE, entry], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 500
 
 
 def test_empirical_longest_law_matches_dp():
