@@ -3,7 +3,7 @@
 Outcomes are encoded as small integers (0 = success, 1 = failure of
 type I, 2 = failure of type II): the codes that `scan.longest_run` and
 `scan.first_hitting` read.  The experiments draw no codes; they scan
-the uniforms they draw.
+the 32-bit fields they draw (see `montecarlo`).
 """
 from __future__ import annotations
 

@@ -1,16 +1,19 @@
 """Seeded Monte Carlo experiments for the two limit theorems.
 
-Reproducibility contract: repetition i draws from
-``numpy.random.PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))`` and
-outcomes come from one uniform per symbol with fixed thresholds
-(p, p+q1) mapping to (success, type-I failure, type-II failure).
+Reproducibility contract (``RNG_SCHEME_ID``): repetition i draws from
+``numpy.random.PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))``, and
+each 64-bit word (``random_raw``) gives two symbols, low 32-bit field
+first.  With T = ceil(p 2^53), a field X is a failure when X > T >> 21
+and a success when X < T >> 21; T2 = ceil((p + q1) 2^53) splits the
+failures into types the same way.  A tie, X = T >> 21 or T2 >> 21, takes
+the top 21 bits Y of one more word, one per tie in field order after its
+chunk's words, and X 2^21 + Y is compared with T and T2 whole.  So each
+symbol has exactly the law of one 53-bit uniform against (p, p + q1),
+for every double p, and the chunk sizes are part of the contract.
 Results are collected by repetition index, so they are bit-identical
 for any worker count.
 
-The contract is the one ``RNG_SCHEME_ID`` names; two shortcuts keep it.
-The scanner reads the uniforms against p and p + q1 itself (see
-``scan``), making the comparisons that map a uniform to its outcome.
-And the generators are not seeded through ``SeedSequence`` one by one:
+The generators are not seeded through ``SeedSequence`` one by one:
 ``_seed_words`` runs SeedSequence's published hash-mix and
 ``generate_state`` steps once for a block of 4096 repetitions, on uint32
 arrays, and ``repetition_rng`` hands PCG64 its row of that table.  The
@@ -30,11 +33,12 @@ from .analytic import alpha_correction, m_of_n, window_probability
 from .model import SizeError, TrialDistribution, ValidationError
 from .scan import ChunkScanner
 
-RNG_SCHEME_ID = "pcg64-seedseq-spawnkey-invcdf-v1"
+RNG_SCHEME_ID = "pcg64-seedseq-spawnkey-u32pairs-ties21-v2"
 HITTING_SAFETY_CAP = 10 ** 9
 MAX_REPETITIONS = 1 << 22  # per run: their results take about 250 MB
-MAX_RUN_SYMBOLS = 1 << 40  # per run: about 50 min on 2 threads at 2.8 ns per symbol (figure 1)
+MAX_RUN_SYMBOLS = 1 << 40  # per run: about 36 min on 2 threads at 1.9 ns per symbol (figure 1)
 _CHUNK = 1 << 16  # symbols per draw; longer draws are no faster and raise peak RSS
+_TIE_BITS = 21  # a field's 32 bits and a tie's 21 make a 53-bit uniform
 _BLOCK_BITS = 12  # 4096 repetitions per seed-table block; 4096 divides 2^32
 _M32 = 0xFFFFFFFF
 # Freeing one block just under glibc's 32 MiB mmap cap lifts its mmap and trim
@@ -131,14 +135,52 @@ def _seed_words(seed: int, block: int) -> np.ndarray:
     return table
 
 
-def outcome_chunks(rng: np.random.Generator, total: int,
+def _cuts(p: float, second: float) -> tuple[int, int]:
+    """T = ceil(p 2^53) and T2 = ceil(second 2^53), exact for every double."""
+    return math.ceil(p * 2.0 ** 53), math.ceil(second * 2.0 ** 53)
+
+
+def outcome_scanner(p: float, second: float) -> ChunkScanner:
+    """The scanner for ``outcome_chunks(rng, n, p, second)``: a symbol below
+    T >> 21 is a success, one above T2 >> 21 a failure of the second type,
+    and one in between a failure of the first type."""
+    cut, cut2 = _cuts(p, second)
+    return ChunkScanner(cut >> _TIE_BITS, (cut2 >> _TIE_BITS) + 1)
+
+
+def outcome_chunks(rng: np.random.Generator, total: int, p: float, second: float,
                    chunk_size: int = _CHUNK) -> Iterator[np.ndarray]:
-    """Pull-based source of `total` uniforms on [0, 1), one per symbol,
-    drawn `chunk_size` at a time."""
+    """Pull-based source of `total` symbols, `chunk_size` at a time, under
+    the module's contract: a chunk's uint32 fields, or, when it holds a tie,
+    its fields settled as int64 (`_settle`).  An odd chunk leaves its last
+    word's high half unused."""
+    cut, cut2 = _cuts(p, second)
+    # both ties in one compare; a tie of 2^32 (a cut of 1.0) never occurs, and
+    # its stand-in 2^32 - 1 only sends a chunk to _settle, which finds no tie
+    ties = np.array([[min(cut >> _TIE_BITS, _M32)], [min(cut2 >> _TIE_BITS, _M32)]], np.uint32)
+    draw = rng.bit_generator.random_raw
     while total > 0:
         n = min(chunk_size, total)
-        yield rng.random(n)
+        # little-endian words, so each word's low half comes first on any host
+        fields = draw((n + 1) // 2).astype("<u8", copy=False).view("<u4")[:n]
+        if (fields == ties).any():
+            fields = _settle(fields, draw, cut, cut2)
+        yield fields
         total -= n
+
+
+def _settle(fields: np.ndarray, draw: Callable[[int], np.ndarray], cut: int,
+            cut2: int) -> np.ndarray:
+    """The fields as int64, each tie X given the top 21 bits Y of one more
+    word, in field order, and replaced by tie - 1, tie or tie2 + 1 as
+    X 2^21 + Y is a success or a failure of the first or second type."""
+    tie, tie2 = cut >> _TIE_BITS, cut2 >> _TIE_BITS
+    at = ((fields == tie) | (fields == tie2)).nonzero()[0]
+    low = (draw(at.size) >> (64 - _TIE_BITS)).astype(np.int64)
+    uniform = fields[at].astype(np.int64) << _TIE_BITS | low
+    settled = fields.astype(np.int64)
+    settled[at] = np.where(uniform >= cut2, tie2 + 1, np.where(uniform >= cut, tie, tie - 1))
+    return settled
 
 
 @dataclass(frozen=True)
@@ -190,8 +232,9 @@ def _map_reps(fn: Callable[[np.random.Generator], object], s: int, seed: int,
     A run past MAX_REPETITIONS repetitions or MAX_RUN_SYMBOLS symbols in
     all is refused before anything is allocated.  A second thread pays
     only once `work` is at least _CHUNK // 2 (on a 2-vCPU VM, thirds
-    hitting at m = 12, work 12,922, s = 4000, took 0.29-0.40 s on one
-    thread and 0.45-0.53 s on two), so less runs on one thread.
+    hitting at m = 12, work 12,922, s = 4000, took 0.24-0.39 s on one
+    thread and 0.27-0.47 s on two; longest at N = 24,576 lost 5 of 7
+    pairs on two, and at N = 32,768 won 5 of 7), so less runs on one thread.
     """
     if s < 1 or seed < 0:
         raise ValidationError(f"need s >= 1 and seed >= 0, got s={s}, seed={seed}")
@@ -219,8 +262,8 @@ def run_longest_experiment(dist: TrialDistribution, N: int, s: int, seed: int,
     p, q1, _ = dist.as_floats()
 
     def one(rng: np.random.Generator) -> int:
-        scanner = ChunkScanner(p, p + q1)
-        for block in outcome_chunks(rng, N):
+        scanner = outcome_scanner(p, p + q1)
+        for block in outcome_chunks(rng, N, p, p + q1):
             scanner.push(block)
         return scanner.best - center
 
@@ -240,13 +283,15 @@ def run_hitting_experiment(dist: TrialDistribution, m: int, s: int, seed: int,
                         f"cap of {HITTING_SAFETY_CAP} symbols per repetition")
     # draw one expected hitting time 1/scale at a time: tau is about
     # exponential, so a repetition draws about 1/((1 - 1/e) scale) = 1.58/scale
-    # symbols, where draws of 2/scale would take 2.31/scale
+    # symbols, where draws of 2/scale would take 2.31/scale; even, as a
+    # chunk uses whole words
     chunk_size = int(min(_CHUNK, max(4 * m, 1.0 / scale)))
+    chunk_size += chunk_size & 1
     p, q1, _ = dist.as_floats()
 
     def one(rng: np.random.Generator) -> float:
-        scanner = ChunkScanner(p, p + q1)
-        for block in outcome_chunks(rng, HITTING_SAFETY_CAP, chunk_size):
+        scanner = outcome_scanner(p, p + q1)
+        for block in outcome_chunks(rng, HITTING_SAFETY_CAP, p, p + q1, chunk_size):
             hit = scanner.push_until_hit(block, m)
             if hit is not None:
                 return hit * scale

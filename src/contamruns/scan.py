@@ -23,14 +23,15 @@ which holds the one failure f_j and so is always valid.  At thirds a
 2^16-symbol block holds about 43,700 failures.  At N = 3e5 a median of 7
 of them are candidates in the first block (at most 51 over 300
 repetitions) and 0 in later ones (at most 13); traced `mc-longest` reads
-3.21 ns per symbol for the scan.
+3.5 ns per symbol for the scan, its waits for the interpreter lock included.
 
 The chunk scanner reads values against two thresholds: a symbol is a
 failure when its value is at least `fail_at`, and of the second type when
 it is at least `second_at`.  The defaults 1 and 2 read outcome codes 0, 1
-and 2 (`longest_run`, `first_hitting`).  The experiments pass (p, p + q1)
-and push the uniforms they draw, so the scan makes the same comparisons
-that map a uniform to its outcome, and no code array is built.  Per block
+and 2 (`longest_run`, `first_hitting`).  The experiments push the 32-bit
+fields they draw against the thresholds of `montecarlo.outcome_scanner`,
+so the scan makes the comparisons that map a field to its outcome, and
+no code array is built.  Per block
 it finds the failures in one pass over a bool mask; its other arrays are
 as long as the failure count.  Across blocks it carries the position and
 the last three failures with their types, so the run still open at the
@@ -49,8 +50,8 @@ class ChunkScanner:
 
     A symbol is a failure when its value is at least `fail_at`, and of the
     second type when it is at least `second_at`: outcome codes 0, 1 and 2
-    with the defaults, uniforms with (p, p + q1).  A scanner serves one
-    mode: `push` keeps `best`, `push_until_hit` does not.
+    with the defaults, 32-bit fields with `montecarlo.outcome_scanner`'s.
+    A scanner serves one mode: `push` keeps `best`, `push_until_hit` does not.
     """
 
     def __init__(self, fail_at=1, second_at=2):

@@ -25,7 +25,7 @@ from contamruns.model import (
     ValidationError,
     check_window_length,
 )
-from contamruns.montecarlo import outcome_chunks, repetition_rng
+from contamruns.montecarlo import outcome_chunks, outcome_scanner, repetition_rng
 
 ENUM_MAX_N = 14
 
@@ -185,7 +185,9 @@ def longest_cdf_by_enumeration(dist: TrialDistribution, N: int, m: int):
 
 def simulate_sequence(dist: TrialDistribution, N: int, stream_seed: int) -> np.ndarray:
     """Materialized sequence of N outcomes (0 success, 1 and 2 failures) for
-    the given stream seed: each uniform u maps to (u >= p) + (u >= p + q1)."""
+    the given stream seed: each symbol x maps to (x >= fail_at) + (x >= second_at),
+    the thresholds of the experiments' scanner."""
     p, q1, _ = dist.as_floats()
-    u = np.concatenate(list(outcome_chunks(repetition_rng(stream_seed, 0), N)))
-    return (u >= p).view(np.uint8) + (u >= p + q1)
+    scanner = outcome_scanner(p, p + q1)
+    x = np.concatenate(list(outcome_chunks(repetition_rng(stream_seed, 0), N, p, p + q1)))
+    return (x >= scanner.fail_at).view(np.uint8) + (x >= scanner.second_at)

@@ -21,6 +21,7 @@ from contamruns.analytic import (
 from contamruns.model import TrialDistribution, ValidationError
 from contamruns.montecarlo import (
     outcome_chunks,
+    outcome_scanner,
     repetition_rng,
     run_hitting_experiment,
     run_longest_experiment,
@@ -28,7 +29,6 @@ from contamruns.montecarlo import (
     sup_distance_lattice,
 )
 from contamruns.oracle import dp_longest_cdf
-from contamruns.scan import ChunkScanner
 
 from crosscheck import (
     enumerate_conditional,
@@ -195,8 +195,8 @@ def test_criterion_9_scan_throughput():
     rng = repetition_rng(SEED, 0)
     p, q1, _ = THIRDS.as_floats()
     t0 = time.perf_counter()
-    scanner = ChunkScanner(p, p + q1)
-    for block in outcome_chunks(rng, n):
+    scanner = outcome_scanner(p, p + q1)
+    for block in outcome_chunks(rng, n, p, p + q1):
         scanner.push(block)
     wall = time.perf_counter() - t0
     ok = wall < 1.0 and scanner.position == n

@@ -85,7 +85,7 @@ def test_malformed_csv_raises_with_line(tmp_path, body, bad_line):
 def test_manifest_round_trip(tmp_path):
     manifest = {"config": {"mode": "hitting", "p": "1/3", "q1": "1/3", "q2": "1/3",
                            "N": None, "s": 10, "m": 8, "seed": 5, "scale": 1.0},
-                "tool_version": "0.1.0", "rng_scheme": "pcg64-seedseq-spawnkey-invcdf-v1",
+                "tool_version": "0.1.0", "rng_scheme": "pcg64-seedseq-spawnkey-u32pairs-ties21-v2",
                 "wall_time_s": 0.5, "excluded": 0, "outputs": {"empirical": "a.csv"}}
     path = tmp_path / "manifest.json"
     write_manifest(path, manifest)
@@ -215,7 +215,7 @@ def test_experiment_writes_all_outputs(capsys, tmp_path):
         "empirical.csv", "manifest.json", "reference.csv", "report.json"]
     emp, meta = read_empirical_csv(payload["outputs"]["empirical"])
     assert emp.total == 50
-    assert meta["rng_scheme"] == "pcg64-seedseq-spawnkey-invcdf-v1"
+    assert meta["rng_scheme"] == "pcg64-seedseq-spawnkey-u32pairs-ties21-v2"
     report = _read_json(payload["outputs"]["report"])
     assert report["sup_distance"] == payload["sup_distance"]
     assert set(_read_json(payload["manifest"])) == {
@@ -644,8 +644,8 @@ def test_hitting_run_with_every_repetition_capped_is_refused(capsys, tmp_path, m
                              "experiment", *argv, "--s", "10")
     assert code == 0, err
     payload = json.loads(out)
-    assert (payload["samples"], payload["excluded"]) == (6, 4)
-    assert _read_json(payload["manifest"])["excluded"] == 4
+    assert (payload["samples"], payload["excluded"]) == (7, 3)
+    assert _read_json(payload["manifest"])["excluded"] == 3
 
 
 # --- where a missing input comes from: flags first, then presets or metadata -------

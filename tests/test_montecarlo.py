@@ -23,6 +23,8 @@ from contamruns.montecarlo import (
     MAX_RUN_SYMBOLS,
     EmpiricalDistribution,
     _map_reps,
+    outcome_chunks,
+    outcome_scanner,
     repetition_rng,
     run_hitting_experiment,
     run_longest_experiment,
@@ -79,6 +81,127 @@ def test_repetition_streams_are_distinct():
     assert len({tuple(d) for d in draws}) == 50
 
 
+def _codes(blocks, p, second):
+    """0, 1 or 2 per symbol, as the experiments' scanner reads the blocks."""
+    scanner = outcome_scanner(p, second)
+    x = np.concatenate(list(blocks))
+    return (x >= scanner.fail_at).view(np.uint8) + (x >= scanner.second_at)
+
+
+def _codes_by_uniform(z, p, second):
+    """The outcome of each 53-bit integer z as a uniform z 2^-53 (exact in doubles)."""
+    u = np.asarray(z, dtype=np.float64) * 2.0 ** -53
+    return (u >= p).view(np.uint8) + (u >= second)
+
+
+@pytest.mark.parametrize("total", [200_000, 200_001])
+def test_symbols_are_the_halves_of_each_word_low_first(total):
+    p, second = 1 / 3, 2 / 3
+    fields = np.concatenate(list(outcome_chunks(repetition_rng(8, 1), total, p, second)))
+    words = repetition_rng(8, 1).bit_generator.random_raw((total + 1) // 2)
+    assert fields.dtype == np.uint32  # no tie, so no chunk was settled
+    assert np.array_equal(fields[0::2], words & 0xFFFFFFFF)
+    assert np.array_equal(fields[1::2], (words >> 32)[:total // 2])
+    # chunks of 2^10 cut the same words into the same fields
+    small = list(outcome_chunks(repetition_rng(8, 1), total, p, second, 1 << 10))
+    assert [b.size for b in small[:-1]] == [1 << 10] * (len(small) - 1)
+    assert np.array_equal(np.concatenate(small), fields)
+
+
+class ScriptedWords:
+    """A stand-in generator whose bit generator returns the given words in order."""
+
+    def __init__(self, words):
+        self.words, self.used = list(words), 0
+        self.bit_generator = self
+
+    def random_raw(self, n):
+        self.used += n
+        assert self.used <= len(self.words), "drew past the script"
+        return np.array(self.words[self.used - n:self.used], dtype=np.uint64)
+
+
+def _word(low: int, high: int) -> int:
+    return high << 32 | low
+
+
+def _tie_word(y: int) -> int:
+    # Y is the word's top 21 bits; the low 43 must not matter
+    return y << 43 | 0x5A5A5A5A5A5
+
+
+def _check_ties(p, second, fields, ys):
+    """Scan fields (two per word, then one word per tie) and compare each
+    symbol with the 53-bit comparison of X 2^21 + Y (Y = 0 off the ties)."""
+    cut, cut2 = math.ceil(p * 2.0 ** 53), math.ceil(second * 2.0 ** 53)
+    ties = [x in (cut >> 21, cut2 >> 21) for x in fields]
+    assert sum(ties) == len(ys)
+    words = [_word(*fields[i:i + 2]) for i in range(0, len(fields), 2)]
+    rng = ScriptedWords(words + [_tie_word(y) for y in ys])
+    got = _codes(outcome_chunks(rng, len(fields), p, second), p, second)
+    y = iter(ys)
+    z = [x << 21 | (next(y) if tie else 0) for x, tie in zip(fields, ties)]
+    assert got.tolist() == _codes_by_uniform(z, p, second).tolist()
+    assert rng.used == len(rng.words)
+    return got.tolist()
+
+
+@pytest.mark.parametrize("p, second", [(1 / 3, 2 / 3), (0.8, 0.9), (0.5, 0.75)])
+def test_a_tie_is_settled_by_21_more_bits(p, second):
+    cut, cut2 = math.ceil(p * 2.0 ** 53), math.ceil(second * 2.0 ** 53)
+    for c in (cut, cut2):
+        tie, low = c >> 21, c & (1 << 21) - 1
+        # one field either side of the tie, then the tie with Y just
+        # below and at the cut's low bits, and at the ends of its range
+        ys = [y for y in (low - 1, low, 0, (1 << 21) - 1) if y >= 0]
+        for y in ys:
+            _check_ties(p, second, [tie - 1, tie, tie + 1, 7], [y])
+
+
+def test_tie_words_follow_their_chunk_in_field_order():
+    p, second = 1 / 3, 2 / 3
+    cut, cut2 = math.ceil(p * 2.0 ** 53), math.ceil(second * 2.0 ** 53)
+    tie, tie2 = cut >> 21, cut2 >> 21
+    low, low2 = cut & (1 << 21) - 1, cut2 & (1 << 21) - 1
+    # chunk 1 holds ties at fields 1 and 2, settled by words 2 and 3;
+    # chunk 2 starts at word 4 and holds a tie at its field 3 (word 6)
+    words = [_word(5, tie), _word(tie2, 9), _tie_word(low), _tie_word(low2 - 1),
+             _word(0, 1), _word(2, tie2), _tie_word(low2)]
+    rng = ScriptedWords(words)
+    blocks = list(outcome_chunks(rng, 8, p, second, 4))
+    assert [b.dtype for b in blocks] == [np.int64, np.int64] and rng.used == 7
+    assert _codes(blocks, p, second).tolist() == [0, 1, 1, 0, 0, 0, 0, 2]
+
+
+@pytest.mark.parametrize("p, second, fields, ys, codes", [
+    # p < 2^-32: the first tie is field 0, and only its 21 bits tell
+    # success from failure
+    (2.0 ** -40, 0.5, [0, 0, 1, 0], [(1 << 13) - 1, 1 << 13, 0], [0, 1, 1, 0]),
+    # both cuts in one field: ties there are any of the three outcomes
+    (0.5 + 2.0 ** -40, 0.5 + 2.0 ** -39, [1 << 31] * 4 + [(1 << 31) - 1, (1 << 31) + 1],
+     [(1 << 13) - 1, 1 << 13, (1 << 14) - 1, 1 << 14], [0, 1, 1, 2, 0, 2]),
+    # p + q1 == 1.0: no field reaches the second cut, and ties at the
+    # first still settle
+    (0.5 + 2.0 ** -40, 1.0, [0xFFFFFFFF, 1 << 31, 1 << 31, 0], [(1 << 13) - 1, 1 << 13],
+     [1, 0, 1, 0]),
+])
+def test_ties_settle_where_field_thresholds_collapse(p, second, fields, ys, codes):
+    assert _check_ties(p, second, fields, ys) == codes
+
+
+@pytest.mark.parametrize("triple", [(1 / 3, 1 / 3), (0.8, 0.1)])
+def test_symbol_frequencies_over_1e8_symbols(triple):
+    # exact binomial law per symbol: each count within 5 standard deviations
+    p, q1 = triple
+    n, counts = 10 ** 8, np.zeros(2, np.int64)
+    scanner = outcome_scanner(p, p + q1)
+    for block in outcome_chunks(repetition_rng(2024, 0), n, p, p + q1):
+        counts += (np.count_nonzero(block >= scanner.fail_at),
+                   np.count_nonzero(block >= scanner.second_at))
+    for count, prob in zip(counts, (1 - p, 1 - p - q1)):
+        assert abs(count - n * prob) < 5 * math.sqrt(n * prob * (1 - prob)), (count, prob)
+
+
 def test_extending_s_preserves_prefix():
     def offsets(s):
         result = run_longest_experiment(THIRDS, 100, s, 9)
@@ -96,11 +219,15 @@ def test_extending_s_preserves_prefix():
 GOLDEN_LAWS = json.loads((Path(__file__).parent / "golden_laws.json").read_text())
 
 
-@pytest.mark.parametrize("run", GOLDEN_LAWS,
+def test_seeded_laws_are_recorded_under_this_scheme():
+    # seeded laws change only with the RNG contract, which renames the scheme
+    assert GOLDEN_LAWS["rng_scheme"] == montecarlo.RNG_SCHEME_ID
+
+
+@pytest.mark.parametrize("run", GOLDEN_LAWS["runs"],
                          ids=lambda r: f"{r['mode']}-p{r['p']}-s{r['s']}")
 def test_seeded_laws_are_pinned(run):
-    # recorded before the scan worked on failure positions only; the
-    # 2.5e6-symbol runs span three draw chunks, so the cross-chunk carry
+    # the 2.5e6-symbol runs span 39 draw chunks, so the cross-chunk carry
     # is exercised on real draws
     p = Fraction(run["p"])
     dist = TrialDistribution(p, (1 - p) / 2, (1 - p) / 2)
@@ -198,9 +325,22 @@ def test_hitting_runs_keep_their_thread_count(monkeypatch, dist, m, threads):
     assert len(idents) == threads
 
 
+def test_hitting_chunks_are_even(monkeypatch):
+    # a chunk takes whole words: one expected hitting time, 6461.3 symbols
+    # at thirds and m = 12, rounds up to 6462
+    sizes = []
+
+    def recorded(rng, total, p, second, chunk_size):
+        sizes.append(chunk_size)
+        return outcome_chunks(rng, total, p, second, chunk_size)
+    monkeypatch.setattr(montecarlo, "outcome_chunks", recorded)
+    run_hitting_experiment(THIRDS, 12, 3, 0)
+    assert sizes == [6462] * 3
+
+
 def test_hitting_worker_count_is_invisible():
     # m = 8 runs on one thread at any worker count; m = 14 draws chunks of
-    # 41,621 symbols, so its runs at 2 and 3 workers use a pool
+    # 41,622 symbols, so its runs at 2 and 3 workers use a pool
     for m in (8, 14):
         results = [run_hitting_experiment(THIRDS, m, 200, 5, workers=w).empirical
                    for w in (1, 2, 3)]
@@ -248,8 +388,8 @@ import resource, sys
 sys.path.insert(0, {str(Path(montecarlo.__file__).resolve().parent.parent)!r})
 from fractions import Fraction
 from contamruns.model import TrialDistribution
-from contamruns.montecarlo import outcome_chunks, repetition_rng, run_longest_experiment
-from contamruns.scan import ChunkScanner
+from contamruns.montecarlo import (outcome_chunks, outcome_scanner, repetition_rng,
+                                   run_longest_experiment)
 
 THIRDS = TrialDistribution(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 p, q1, _ = THIRDS.as_floats()
@@ -258,8 +398,8 @@ def experiment():
     run_longest_experiment(THIRDS, 3 << 20, 2, 3)
 
 def direct_loop():
-    scanner = ChunkScanner(p, p + q1)
-    for block in outcome_chunks(repetition_rng(3, 0), 3 << 20):
+    scanner = outcome_scanner(p, p + q1)
+    for block in outcome_chunks(repetition_rng(3, 0), 3 << 20, p, p + q1):
         scanner.push(block)
 
 run = globals()[sys.argv[1]]
