@@ -39,7 +39,7 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
 
-# --threads outside 1..this is refused before any thread starts; 8 is always allowed
+# --threads outside 1..this is refused before any worker starts; 8 is always allowed
 MAX_THREADS = max(8, 4 * (os.cpu_count() or 1))
 
 # (p, q1, q2, N, s, m) parameter sets for the eight figure presets
@@ -343,7 +343,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--seed", type=int, default=20240817, help="experiment master seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help=f"most worker threads, 1 to {MAX_THREADS}")
+                        help=f"most workers, 1 to {MAX_THREADS}")
     parser.add_argument("--out", default="out", help="output directory for experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
+import signal
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
@@ -36,8 +38,9 @@ from .scan import ChunkScanner
 RNG_SCHEME_ID = "pcg64-seedseq-spawnkey-u32pairs-ties21-v2"
 HITTING_SAFETY_CAP = 10 ** 9
 MAX_REPETITIONS = 1 << 22  # per run: their results take about 250 MB
-MAX_RUN_SYMBOLS = 1 << 40  # per run: about 36 min on 2 threads at 1.9 ns per symbol (figure 1)
+MAX_RUN_SYMBOLS = 1 << 40  # per run: about 44 min on 2 workers at 2.4 ns per symbol (figure 1)
 _CHUNK = 1 << 16  # symbols per draw; longer draws are no faster and raise peak RSS
+_FORK_WORK = 1 << 22  # symbols per run below which a fork, a pipe and a reap do not pay
 _TIE_BITS = 21  # a field's 32 bits and a tie's 21 make a 53-bit uniform
 _BLOCK_BITS = 12  # 4096 repetitions per seed-table block; 4096 divides 2^32
 _M32 = 0xFFFFFFFF
@@ -225,34 +228,104 @@ class ExperimentResult:
 
 def _map_reps(fn: Callable[[np.random.Generator], object], s: int, seed: int,
               workers: int, work: float) -> list:
-    """[fn(repetition_rng(seed, i)) for i in range(s)], on up to `workers` threads.
+    """[fn(repetition_rng(seed, i)) for i in range(s)], on at most `workers`
+    processes.
 
     `work` is the symbols one repetition works through: N for a longest
     run, twice the expected hitting time (at least 4m) for a hitting run.
     A run past MAX_REPETITIONS repetitions or MAX_RUN_SYMBOLS symbols in
-    all is refused before anything is allocated.  A second thread pays
-    only once `work` is at least _CHUNK // 2 (on a 2-vCPU VM, thirds
-    hitting at m = 12, work 12,922, s = 4000, took 0.24-0.39 s on one
-    thread and 0.27-0.47 s on two; longest at N = 24,576 lost 5 of 7
-    pairs on two, and at N = 32,768 won 5 of 7), so less runs on one thread.
+    all is refused before anything is allocated.  Worker w runs
+    repetitions w, w + W, w + 2W, ... into their slots, so the results
+    stay in repetition order.  Worker 0 is the calling thread; workers
+    1..W-1 are ``os.fork`` children, each sending its results (or its
+    exception, re-raised here) back over a pipe.  The numpy calls of one
+    repetition hand the interpreter lock back and forth, so threads would
+    mostly wait for each other; processes do not.  A second worker pays
+    only once `work` is at least _CHUNK // 2 and the run `_FORK_WORK`
+    symbols (see README, Monte Carlo), so less runs on one worker, and so
+    does every run where ``os.fork`` does not exist.
     """
     if s < 1 or seed < 0:
         raise ValidationError(f"need s >= 1 and seed >= 0, got s={s}, seed={seed}")
     if s > MAX_REPETITIONS or s * work > MAX_RUN_SYMBOLS:
         raise SizeError(f"s={s} repetitions of work={work} symbols each are past the caps "
                         f"of {MAX_REPETITIONS} repetitions and {MAX_RUN_SYMBOLS} symbols per run")
-    workers = min(workers, s) if work >= _CHUNK // 2 else 1
-    # one task per worker: worker w runs repetitions w, w + W, w + 2W, ...
-    # into their slots, so results stay in repetition order
-    results = [None] * s
+    if work < _CHUNK // 2 or s * work < _FORK_WORK or not hasattr(os, "fork"):
+        workers = 1
+    workers = min(workers, s)
+    parent = os.getpid()
 
-    def block(w: int) -> None:
+    def share(w: int) -> list:
+        done = []
         for i in range(w, s, workers):
-            results[i] = fn(repetition_rng(seed, i))
+            if w and os.getppid() != parent:  # the caller is gone: stop
+                os._exit(1)
+            done.append(fn(repetition_rng(seed, i)))
+        return done
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(block, range(workers)))
+    results = [None] * s
+    children = {}  # pid -> (worker, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the child; it never returns
+                _send(functools.partial(share, w), write, w,
+                      [read, *(pipe.fileno() for _, pipe in children.values())])
+            os.close(write)
+            children[pid] = (w, open(read, "rb"))
+        results[::workers] = share(0)
+        for pid, (w, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status != 0:
+                raise RuntimeError(f"Monte Carlo worker {w} (pid {pid}) ended with exit "
+                                   f"code {os.waitstatus_to_exitcode(status)} before it sent "
+                                   f"its results")
+            value = pickle.loads(data)
+            if isinstance(value, BaseException):
+                raise value
+            results[w::workers] = value
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return results
+
+
+def _send(job: Callable[[], list], out: int, worker: int, inherited: list[int]) -> NoReturn:
+    """In a forked worker: close the `inherited` read ends, pickle job's
+    results, or the exception it raised, into the pipe `out`, and leave
+    through ``os._exit`` (exit code 0 once they are sent).  An exception
+    that does not survive a pickle round trip is sent as a RuntimeError
+    that names the worker."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            data = pickle.dumps(job(), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            try:
+                data = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+                pickle.loads(data)
+            except BaseException:
+                data = pickle.dumps(RuntimeError(
+                    f"Monte Carlo worker {worker} raised {type(exc).__name__}: {exc} "
+                    f"(which cannot be sent back whole)"))
+        with open(out, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_longest_experiment(dist: TrialDistribution, N: int, s: int, seed: int,

@@ -1,12 +1,14 @@
 """File formats and the command-line surface."""
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import contamruns.analytic
+import contamruns.montecarlo
 from contamruns.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -739,6 +741,23 @@ def test_running_out_of_memory_is_refused(capsys, tmp_path, monkeypatch):
     assert code == EXIT_BUDGET and err.startswith("refused: not enough memory")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_running_out_of_memory_in_a_forked_worker_is_refused(capsys, tmp_path, monkeypatch):
+    # N s = 2^22 symbols at 3 workers: repetitions 1 and 2 run in forked workers
+    caller, repetition_rng = os.getpid(), contamruns.montecarlo.repetition_rng
+
+    def out_of_memory_in_a_worker(seed, rep):
+        if os.getpid() != caller:
+            raise MemoryError
+        return repetition_rng(seed, rep)
+    monkeypatch.setattr("contamruns.montecarlo.repetition_rng", out_of_memory_in_a_worker)
+    code, _, err = run_cli(capsys, "--threads", "3", "--out", str(tmp_path / "a" / "b"),
+                           "experiment", *THIRDS_ARGS, "--N", "65536", "--s", "64")
+    assert code == EXIT_BUDGET and err.startswith("refused: not enough memory")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):  # both workers were reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_empty_metadata_counts_as_missing(capsys, tmp_path):

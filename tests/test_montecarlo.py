@@ -1,10 +1,10 @@
 """Monte Carlo experiments: reproducibility, statistics, distances."""
 import json
 import math
+import os
 import platform
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +19,7 @@ from contamruns.analytic import m_of_n, theorem1_limit_cdf
 from contamruns.model import SizeError, TrialDistribution, ValidationError
 from contamruns.montecarlo import (
     _CHUNK,
+    _FORK_WORK,
     MAX_REPETITIONS,
     MAX_RUN_SYMBOLS,
     EmpiricalDistribution,
@@ -240,20 +241,24 @@ def test_seeded_laws_are_pinned(run):
 
 
 def test_worker_count_is_invisible():
-    # N = 500 runs on one thread at any worker count, N = 2^15 on a pool
+    # N = 500 runs on one worker at any worker count, N = 2^15 (s = 128) forks
     for N in (500, 1 << 15):
-        results = [run_longest_experiment(THIRDS, N, 64, 11, workers=w).empirical
+        results = [run_longest_experiment(THIRDS, N, 128, 11, workers=w).empirical
                    for w in (1, 4, 8)]
         for other in results[1:]:
             assert np.array_equal(results[0].support, other.support)
             assert np.array_equal(results[0].weights, other.weights)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("s, workers", [(1, 2), (5, 8), (7, 2)])
 def test_map_reps_keeps_repetition_order(s, workers):
     # later repetitions finish first, so completion order is not repetition
-    # order; a short switch interval interleaves the workers' slot writes.
-    # Repetition i draws from repetition_rng(seed, i), whichever worker runs it
+    # order. Repetition i draws from repetition_rng(seed, i), whichever worker runs it
     seed = 4
     expected = [repetition_rng(seed, i).random() for i in range(s)]
 
@@ -261,38 +266,77 @@ def test_map_reps_keeps_repetition_order(s, workers):
         draw = rng.random()
         time.sleep(0.002 * (s - expected.index(draw)))
         return draw
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert _map_reps(fn, s, seed, workers, _CHUNK) == expected
-    finally:
-        sys.setswitchinterval(interval)
+    assert _map_reps(fn, s, seed, workers, _FORK_WORK) == expected
+    assert_no_child_left()
+
+
+def raise_in(rep: int, exc: BaseException, seed: int = 6):
+    """A repetition that raises `exc` at repetition `rep` and returns its
+    worker's pid otherwise."""
+    target = repetition_rng(seed, rep).random()
+
+    def fn(rng):
+        if rng.random() == target:
+            raise exc
+        return os.getpid()
+    return fn
 
 
 def test_map_reps_propagates_an_exception():
-    seed = 6
-    third = repetition_rng(seed, 3).random()
+    # at 3 workers repetition 4 runs in forked worker 1, which is read
+    # while worker 2 is still unread
+    with pytest.raises(ArithmeticError, match="repetition 4") as caught:
+        _map_reps(raise_in(4, ArithmeticError("repetition 4")), 7, 6, 3, _FORK_WORK)
+    assert caught.type is ArithmeticError
+    assert_no_child_left()
+
+
+class NeedsTwoArguments(Exception):
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+@pytest.mark.parametrize("exc", [ArithmeticError(lambda: None),  # pickle.dumps fails
+                                 NeedsTwoArguments(1, 2)])  # pickle.loads fails
+def test_map_reps_reports_an_exception_that_cannot_be_pickled(exc):
+    with pytest.raises(RuntimeError, match="worker 1 raised"):
+        _map_reps(raise_in(4, exc), 7, 6, 3, _FORK_WORK)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [ValueError("in the caller"), KeyboardInterrupt()])
+def test_map_reps_stops_its_workers_when_the_caller_fails(exc):
+    # the caller's share fails while the forked worker is still busy
+    caller = os.getpid()
 
     def fn(rng):
-        draw = rng.random()
-        if draw == third:
-            raise ArithmeticError("repetition 3")
-        return draw
-    with pytest.raises(ArithmeticError, match="repetition 3"):
-        _map_reps(fn, 7, seed, 2, _CHUNK)
+        if os.getpid() == caller:
+            raise exc
+        time.sleep(60)
+    t0 = time.perf_counter()
+    with pytest.raises(type(exc)):
+        _map_reps(fn, 4, 0, 2, _FORK_WORK)
+    assert time.perf_counter() - t0 < 30
+    assert_no_child_left()
 
 
 def test_map_reps_threads_only_for_long_chunks():
-    # a second thread starts only once a repetition works through _CHUNK // 2 symbols
-    for work, threads in ((_CHUNK // 2 - 1, 1), (_CHUNK // 2, 2), (_CHUNK, 2),
-                          (4 * _CHUNK, 2)):
-        idents = set()
+    # a second worker is forked only once a repetition works through
+    # _CHUNK // 2 symbols and the run through _FORK_WORK
+    many = 2 * _FORK_WORK // (_CHUNK // 2)
+    below_floor = _FORK_WORK // _CHUNK - 1
+    for s, work, workers in ((many, _CHUNK // 2 - 1, 1), (many, _CHUNK // 2, 2),
+                             (many, _CHUNK, 2), (many, 4 * _CHUNK, 2),
+                             (below_floor, _CHUNK, 1), (below_floor + 1, _CHUNK, 2)):
+        pids = _map_reps(lambda rng: os.getpid(), s, 0, 2, work)
+        assert len(set(pids)) == workers, (s, work)
+        assert pids[0] == os.getpid()  # worker 0 is the caller
+        assert_no_child_left()
 
-        def fn(rng):
-            idents.add(threading.get_ident())
-            time.sleep(0.005)  # keep the first worker busy while the second starts
-        _map_reps(fn, 4, 0, 2, work)
-        assert len(idents) == threads, work
+
+def test_map_reps_runs_on_one_worker_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert set(_map_reps(lambda rng: os.getpid(), 256, 0, 2, _CHUNK)) == {os.getpid()}
 
 
 @pytest.mark.parametrize("s, work", [(MAX_REPETITIONS + 1, 1), (1, MAX_RUN_SYMBOLS + 1)])
@@ -313,16 +357,17 @@ def test_map_reps_refuses_runs_past_the_caps(s, work):
 @pytest.mark.parametrize("dist, m, threads", [(THIRDS, 12, 1), (THIRDS, 14, 2),
                                               (TrialDistribution(0.5, 0.4, 0.1), 20, 2)])
 def test_hitting_runs_keep_their_thread_count(monkeypatch, dist, m, threads):
-    # the thread rule weighs two expected hitting times, not the shorter draw
-    idents = set()
+    # the worker rule weighs two expected hitting times, not the shorter
+    # draw; s = 400 puts every case past the total-work floor
+    s, pids = 400, set()
+    map_reps = montecarlo._map_reps
 
-    def recorded(seed, rep):
-        idents.add(threading.get_ident())
-        time.sleep(0.005)  # keep the first worker busy while the second starts
-        return repetition_rng(seed, rep)
-    monkeypatch.setattr(montecarlo, "repetition_rng", recorded)
-    run_hitting_experiment(dist, m, 4, 0, workers=2)
-    assert len(idents) == threads
+    def recorded(fn, s, seed, workers, work):
+        pids.update(map_reps(lambda rng: os.getpid(), s, seed, workers, work))
+        return [1.0] * s
+    monkeypatch.setattr(montecarlo, "_map_reps", recorded)
+    run_hitting_experiment(dist, m, s, 0, workers=2)
+    assert len(pids) == threads
 
 
 def test_hitting_chunks_are_even(monkeypatch):
@@ -339,8 +384,8 @@ def test_hitting_chunks_are_even(monkeypatch):
 
 
 def test_hitting_worker_count_is_invisible():
-    # m = 8 runs on one thread at any worker count; m = 14 draws chunks of
-    # 41,622 symbols, so its runs at 2 and 3 workers use a pool
+    # m = 8 runs on one worker at any worker count; m = 14 draws chunks of
+    # 41,622 symbols, so its runs at 2 and 3 workers fork
     for m in (8, 14):
         results = [run_hitting_experiment(THIRDS, m, 200, 5, workers=w).empirical
                    for w in (1, 2, 3)]
