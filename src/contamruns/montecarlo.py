@@ -238,19 +238,18 @@ def _map_reps(fn: Callable[[np.random.Generator], object], s: int, seed: int,
     repetitions w, w + W, w + 2W, ... into their slots, so the results
     stay in repetition order.  Worker 0 is the calling thread; workers
     1..W-1 are ``os.fork`` children, each sending its results (or its
-    exception, re-raised here) back over a pipe.  The numpy calls of one
-    repetition hand the interpreter lock back and forth, so threads would
-    mostly wait for each other; processes do not.  A second worker pays
-    only once `work` is at least _CHUNK // 2 and the run `_FORK_WORK`
-    symbols (see README, Monte Carlo), so less runs on one worker, and so
-    does every run where ``os.fork`` does not exist.
+    exception, re-raised here) back over a pipe.  Processes share no
+    interpreter lock, so a second worker pays once the run works through
+    `_FORK_WORK` symbols in all, however short its repetitions (see
+    README, Monte Carlo).  A smaller run uses one worker, and so does
+    every run where ``os.fork`` does not exist.
     """
     if s < 1 or seed < 0:
         raise ValidationError(f"need s >= 1 and seed >= 0, got s={s}, seed={seed}")
     if s > MAX_REPETITIONS or s * work > MAX_RUN_SYMBOLS:
         raise SizeError(f"s={s} repetitions of work={work} symbols each are past the caps "
                         f"of {MAX_REPETITIONS} repetitions and {MAX_RUN_SYMBOLS} symbols per run")
-    if work < _CHUNK // 2 or s * work < _FORK_WORK or not hasattr(os, "fork"):
+    if s * work < _FORK_WORK or not hasattr(os, "fork"):
         workers = 1
     workers = min(workers, s)
     parent = os.getpid()

@@ -23,7 +23,8 @@ which holds the one failure f_j and so is always valid.  At thirds a
 2^16-symbol block holds about 43,700 failures.  At N = 3e5 a median of 7
 of them are candidates in the first block (at most 51 over 300
 repetitions) and 0 in later ones (at most 13); traced `mc-longest` reads
-3.5 ns per symbol for the scan, its waits for the interpreter lock included.
+2.9-3.7 ns per symbol for the scan, over the calling process's half of the
+repetitions (the forked worker's spans stay in that worker).
 
 The chunk scanner reads values against two thresholds: a symbol is a
 failure when its value is at least `fail_at`, and of the second type when

@@ -320,18 +320,30 @@ def test_map_reps_stops_its_workers_when_the_caller_fails(exc):
     assert_no_child_left()
 
 
-def test_map_reps_threads_only_for_long_chunks():
-    # a second worker is forked only once a repetition works through
-    # _CHUNK // 2 symbols and the run through _FORK_WORK
-    many = 2 * _FORK_WORK // (_CHUNK // 2)
-    below_floor = _FORK_WORK // _CHUNK - 1
-    for s, work, workers in ((many, _CHUNK // 2 - 1, 1), (many, _CHUNK // 2, 2),
-                             (many, _CHUNK, 2), (many, 4 * _CHUNK, 2),
-                             (below_floor, _CHUNK, 1), (below_floor + 1, _CHUNK, 2)):
-        pids = _map_reps(lambda rng: os.getpid(), s, 0, 2, work)
-        assert len(set(pids)) == workers, (s, work)
-        assert pids[0] == os.getpid()  # worker 0 is the caller
-        assert_no_child_left()
+def test_map_reps_forks_on_total_work_alone(monkeypatch):
+    # a second worker is forked once the run works through _FORK_WORK
+    # symbols, however few each repetition takes; each case runs the
+    # largest s below the floor and the smallest s at it (for work = 1,
+    # _FORK_WORK - 1 and _FORK_WORK repetitions)
+    monkeypatch.setattr(montecarlo, "repetition_rng", lambda seed, i: None)
+
+    def first_pid_per_worker():
+        last = [None]  # copied into each child by the fork
+
+        def fn(rng):
+            pid = os.getpid()
+            if pid == last[0]:
+                return None
+            last[0] = pid
+            return pid
+        return fn
+    for work in (1, _CHUNK // 2 - 1, _CHUNK):
+        at_floor = -(-_FORK_WORK // work)
+        for s, workers in ((at_floor - 1, 1), (at_floor, 2)):
+            pids = _map_reps(first_pid_per_worker(), s, 0, 2, work)
+            assert len(set(pids) - {None}) == workers, (s, work)
+            assert pids[0] == os.getpid()  # worker 0 is the caller
+            assert_no_child_left()
 
 
 def test_map_reps_runs_on_one_worker_without_fork(monkeypatch):
@@ -354,12 +366,10 @@ def test_map_reps_refuses_runs_past_the_caps(s, work):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("dist, m, threads", [(THIRDS, 12, 1), (THIRDS, 14, 2),
-                                              (TrialDistribution(0.5, 0.4, 0.1), 20, 2)])
-def test_hitting_runs_keep_their_thread_count(monkeypatch, dist, m, threads):
-    # the worker rule weighs two expected hitting times, not the shorter
-    # draw; s = 400 puts every case past the total-work floor
-    s, pids = 400, set()
+def hitting_pids(monkeypatch, dist, m: int, s: int) -> set[int]:
+    """The pids of the workers that run_hitting_experiment(dist, m, s, 0,
+    workers=2) would use, each repetition returning its worker's pid."""
+    pids = set()
     map_reps = montecarlo._map_reps
 
     def recorded(fn, s, seed, workers, work):
@@ -367,7 +377,21 @@ def test_hitting_runs_keep_their_thread_count(monkeypatch, dist, m, threads):
         return [1.0] * s
     monkeypatch.setattr(montecarlo, "_map_reps", recorded)
     run_hitting_experiment(dist, m, s, 0, workers=2)
-    assert len(pids) == threads
+    return pids
+
+
+@pytest.mark.parametrize("dist, m, threads", [(THIRDS, 12, 2), (THIRDS, 14, 2),
+                                              (TrialDistribution(0.5, 0.4, 0.1), 20, 2)])
+def test_hitting_runs_keep_their_thread_count(monkeypatch, dist, m, threads):
+    # the worker rule weighs two expected hitting times per repetition, not
+    # the shorter draw; s = 400 puts every case past the total-work floor,
+    # thirds at m = 12 (12,922 symbols per repetition) with 5.2e6 in all
+    assert len(hitting_pids(monkeypatch, dist, m, 400)) == threads
+
+
+def test_hitting_runs_below_the_floor_use_one_worker(monkeypatch):
+    # thirds at m = 12, s = 300: 3.9e6 symbols in all, under _FORK_WORK
+    assert len(hitting_pids(monkeypatch, THIRDS, 12, 300)) == 1
 
 
 def test_hitting_chunks_are_even(monkeypatch):
@@ -384,15 +408,17 @@ def test_hitting_chunks_are_even(monkeypatch):
 
 
 def test_hitting_worker_count_is_invisible():
-    # m = 8 runs on one worker at any worker count; m = 14 draws chunks of
-    # 41,622 symbols, so its runs at 2 and 3 workers fork
-    for m in (8, 14):
-        results = [run_hitting_experiment(THIRDS, m, 200, 5, workers=w).empirical
+    # m = 8 at s = 200 (8e4 symbols in all) runs on one worker at any
+    # worker count; m = 14 at s = 200 and m = 12 at s = 400 fork at 2 and
+    # 3 workers, the latter while each repetition works through 12,922
+    # symbols, fewer than 2^15
+    for m, s in ((8, 200), (14, 200), (12, 400)):
+        results = [run_hitting_experiment(THIRDS, m, s, 5, workers=w).empirical
                    for w in (1, 2, 3)]
         for other in results[1:]:
             assert np.array_equal(results[0].support, other.support)
             assert np.array_equal(results[0].weights, other.weights)
-            assert results[0].total == other.total == 200
+            assert results[0].total == other.total == s
 
 
 def test_config_validation():
